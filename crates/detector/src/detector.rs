@@ -4,7 +4,7 @@
 //! the per-frame statistics the paper's evaluation consumes (latency,
 //! per-stage rejection histograms, profiler counters).
 
-use fd_gpu::{DeviceSpec, ExecMode, FaultPlan, Gpu, HostExec, Timeline};
+use fd_gpu::{DeviceSpec, ExecMode, FaultPlan, Gpu, Timeline};
 use fd_haar::Cascade;
 use fd_imgproc::{GrayImage, Rect};
 
@@ -27,15 +27,12 @@ pub struct DetectorConfig {
     pub min_neighbors: usize,
     /// Collect per-stage/per-scale rejection histograms (Fig. 7).
     pub collect_rejection_stats: bool,
-    /// Host worker threads for the simulator's functional phase. `None`
+    /// Host worker threads for the simulator's functional phase, which
+    /// drains the deferred launch graph at every sync point. `None`
     /// defers to `FD_SIM_THREADS` or the machine's core count; `Some(1)`
-    /// forces sequential execution. Results are identical either way.
+    /// drains in launch order on the calling thread. Results are
+    /// bit-identical either way; only host wall-clock differs.
     pub host_threads: Option<usize>,
-    /// Host execution engine for the simulator's functional phase.
-    /// `None` defers to `FD_SIM_HOST_EXEC`, then to the asynchronous
-    /// deferred-drain engine. Results are bit-identical either way; only
-    /// host wall-clock differs.
-    pub host_exec: Option<HostExec>,
     /// Deterministic device fault injection (robustness experiments).
     /// `None` — and any inert plan — leaves behaviour bit-identical to a
     /// fault-free device.
@@ -64,7 +61,6 @@ impl Default for DetectorConfig {
             min_neighbors: 2,
             collect_rejection_stats: false,
             host_threads: None,
-            host_exec: None,
             fault_plan: None,
             fusion: None,
             autotune: None,
@@ -141,7 +137,6 @@ impl FaceDetector {
         cascade.validate().map_err(|source| DetectorError::InvalidCascade { source })?;
         let mut gpu = Gpu::new(config.device.clone(), config.exec_mode);
         gpu.set_host_threads(config.host_threads);
-        gpu.set_host_exec(config.host_exec);
         gpu.set_fault_plan(config.fault_plan.clone());
         let mut pipeline = FramePipeline::try_new(gpu, cascade, config.scale_factor)?;
         if let Some(fusion) = config.fusion {

@@ -1,28 +1,20 @@
-//! Host-parallel execution of the functional phase.
+//! Shared pieces of the functional phase: the per-block executor, the
+//! parallelism thresholds and host thread-count resolution.
 //!
 //! Thread blocks of one launch are independent by construction (barriers
-//! only exist *inside* a block), so the functional phase fans them out
-//! across host worker threads. Determinism is preserved structurally:
-//!
-//! - workers claim fixed-size *chunks* of the linear block range from an
-//!   atomic counter (dynamic load balancing), but every chunk's results
-//!   land in a slot indexed by chunk id;
-//! - after the join, per-block costs are stitched back together in
-//!   linear block order and [`KernelCounters`] are reduced by a single
-//!   ordered fold over that sequence.
-//!
-//! The result — block costs, profiler counters and (through the cost
-//! model) the timing simulation — is therefore byte-for-byte identical
-//! to the sequential path regardless of thread schedule. Cross-block
-//! memory effects are governed by the arena's disjoint-write contract
-//! ([`crate::memory`]).
+//! only exist *inside* a block), so the persistent worker pool (`pool.rs`)
+//! fans block chunks out across host threads. Every block runs through
+//! `LaunchEnv::run_block`, which meters it into one [`BlockCost`] and
+//! one [`KernelCounters`] record; the pool stitches those back together
+//! in linear block order, so results are byte-for-byte independent of
+//! the thread schedule. Cross-block memory effects are governed by the
+//! arena's disjoint-write contract ([`crate::memory`]).
 //!
 //! Thread count resolution: explicit builder override
 //! ([`crate::Gpu::set_host_threads`]) → the `FD_SIM_THREADS` environment
-//! variable → `std::thread::available_parallelism()`. Small grids run
-//! sequentially regardless, as thread-spawn overhead would dominate.
+//! variable → `std::thread::available_parallelism()`. Small queues run
+//! sequentially regardless, as hand-off overhead would dominate.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::cost::CostModel;
@@ -31,7 +23,7 @@ use crate::memory::{ConstBank, DeviceMemory, Texture2D};
 use crate::meter::{KernelCounters, Meter};
 use crate::sched::BlockCost;
 
-/// Launches whose estimated work (blocks × threads-per-block) falls below
+/// Drains whose estimated work (blocks × threads-per-block) falls below
 /// this run sequentially. The old gate was a flat block count, which let a
 /// 64-block × 32-thread launch (2 Ki thread-iterations) pay parallel
 /// dispatch overhead while a 48-block × 512-thread launch (24 Ki) stayed
@@ -42,7 +34,7 @@ use crate::sched::BlockCost;
 pub(crate) const PARALLEL_MIN_WORK: u64 = 16_384;
 
 /// Upper bound on blocks per chunk; small enough to balance load on the
-/// largest realistic grids, large enough to amortize the atomic claim.
+/// largest realistic grids, large enough to amortize the per-chunk claim.
 pub(crate) const MAX_CHUNK_BLOCKS: usize = 1024;
 
 /// Environment variable selecting the host thread count (`1` forces the
@@ -114,169 +106,10 @@ impl LaunchEnv<'_> {
     }
 }
 
-/// Execute every block of a launch, sequentially or across `threads`
-/// host workers. `total_blocks` has been validated by the caller to fit
-/// the functional-simulation limit.
-pub(crate) fn run_functional(
-    kernel: &dyn Kernel,
-    cfg: &LaunchConfig,
-    env: &LaunchEnv<'_>,
-    threads: usize,
-    total_blocks: u64,
-) -> FunctionalResult {
-    run_functional_range(kernel, cfg, env, threads, 0, total_blocks)
-}
-
-/// Execute the linear block range `[first_block, first_block + count)` of
-/// a launch. The general form behind [`run_functional`]; fused launches
-/// use it to run one phase (stage) at a time so producer phases complete
-/// before their consumers start.
-pub(crate) fn run_functional_range(
-    kernel: &dyn Kernel,
-    cfg: &LaunchConfig,
-    env: &LaunchEnv<'_>,
-    threads: usize,
-    first_block: u64,
-    count: u64,
-) -> FunctionalResult {
-    let total = count as usize;
-    let work = count.saturating_mul(cfg.threads_per_block() as u64);
-    if threads <= 1 || work < PARALLEL_MIN_WORK {
-        let mut block_costs = Vec::with_capacity(total);
-        let mut totals = KernelCounters::default();
-        for lin in first_block..first_block + count {
-            let (bc, c) = env.run_block(kernel, cfg, lin);
-            block_costs.push(bc);
-            totals.add(&c);
-        }
-        return FunctionalResult { block_costs, totals };
-    }
-
-    // Chunked dynamic scheduling: ~8 chunks per worker bounds the tail
-    // (the last chunk finishing late) to ~1/8 of one worker's share.
-    let chunk = (total / (threads * 8)).clamp(1, MAX_CHUNK_BLOCKS);
-    let n_chunks = total.div_ceil(chunk);
-    let next_chunk = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Vec<(BlockCost, KernelCounters)>>> =
-        (0..n_chunks).map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n_chunks) {
-            s.spawn(|| loop {
-                let idx = next_chunk.fetch_add(1, Ordering::Relaxed);
-                if idx >= n_chunks {
-                    break;
-                }
-                let start = idx * chunk;
-                let end = (start + chunk).min(total);
-                let mut local = Vec::with_capacity(end - start);
-                for lin in start..end {
-                    local.push(env.run_block(kernel, cfg, first_block + lin as u64));
-                }
-                assert!(slots[idx].set(local).is_ok(), "chunk {idx} computed twice");
-            });
-        }
-    });
-
-    // Stitch chunks back into linear block order; the counter reduction
-    // is a single ordered fold, independent of which worker ran what.
-    let mut block_costs = Vec::with_capacity(total);
-    let mut totals = KernelCounters::default();
-    for slot in slots {
-        let part = slot.into_inner().expect("worker pool exited with an unprocessed chunk");
-        for (bc, c) in part {
-            block_costs.push(bc);
-            totals.add(&c);
-        }
-    }
-    FunctionalResult { block_costs, totals }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dim::Dim3;
-    use crate::memory::DevBuf;
-
-    struct FillKernel {
-        out: DevBuf<u32>,
-    }
-
-    impl Kernel for FillKernel {
-        fn name(&self) -> &'static str {
-            "fill"
-        }
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            let tpb = ctx.block_dim.count() as usize;
-            let base = ctx.block_idx.x as usize * tpb;
-            let mut out = ctx.mem.write(self.out);
-            let end = (base + tpb).min(out.len());
-            for (i, v) in out[base..end].iter_mut().enumerate() {
-                *v = (base + i) as u32 * 3 + 1;
-            }
-            ctx.meter.alu(ctx.warps_in_block());
-            ctx.meter.global_store(((end - base) * 4) as u64);
-            // Block-dependent divergence so counter order would show up
-            // in a naive unordered reduction of floating-point costs.
-            ctx.meter.branches(ctx.block_idx.x as u64 + 1, ctx.block_idx.x as u64 % 2);
-        }
-    }
-
-    fn run_with(threads: usize) -> (Vec<u32>, FunctionalResult) {
-        let mut mem = DeviceMemory::new();
-        let out = mem.alloc::<u32>(100_000);
-        let cfg = LaunchConfig::linear(100_000, 128);
-        let env = LaunchEnv {
-            mem: &mem,
-            constants: &ConstBank::new(0),
-            textures: &[],
-            cost: &CostModel::default(),
-            warp_size: 32,
-        };
-        let k = FillKernel { out };
-        let r = run_functional(&k, &cfg, &env, threads, cfg.total_blocks());
-        (mem.download(out), r)
-    }
-
-    #[test]
-    fn parallel_matches_sequential_bitwise() {
-        let (data1, r1) = run_with(1);
-        for threads in [2, 4, 7] {
-            let (data, r) = run_with(threads);
-            assert_eq!(data, data1, "functional output differs at {threads} threads");
-            assert_eq!(r.totals, r1.totals, "counters differ at {threads} threads");
-            assert_eq!(
-                r.block_costs.len(),
-                r1.block_costs.len(),
-                "block cost count differs at {threads} threads"
-            );
-            for (i, (a, b)) in r.block_costs.iter().zip(&r1.block_costs).enumerate() {
-                assert!(
-                    a.issue_cycles.to_bits() == b.issue_cycles.to_bits()
-                        && a.mem_latency_cycles.to_bits() == b.mem_latency_cycles.to_bits()
-                        && a.mem_bytes == b.mem_bytes,
-                    "block {i} cost differs at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn small_grids_stay_sequential_and_correct() {
-        let mut mem = DeviceMemory::new();
-        let out = mem.alloc::<u32>(96);
-        let cfg = LaunchConfig::linear(96, 32); // 96 thread-iterations < PARALLEL_MIN_WORK
-        let env = LaunchEnv {
-            mem: &mem,
-            constants: &ConstBank::new(0),
-            textures: &[],
-            cost: &CostModel::default(),
-            warp_size: 32,
-        };
-        let r = run_functional(&FillKernel { out }, &cfg, &env, 8, cfg.total_blocks());
-        assert_eq!(r.block_costs.len(), 3);
-        assert_eq!(mem.download(out)[95], 95 * 3 + 1);
-    }
 
     #[test]
     fn thread_resolution_prefers_override() {

@@ -45,11 +45,11 @@
 //! [`FusedKernel::run_block`] maps a linear block id back to its stage
 //! and remaps the context's geometry before delegating, exactly like
 //! [`crate::BatchedKernel`] does for grid-`z` stacking. Stage starts are
-//! exposed as [`Kernel::phase_boundaries`]: both host engines execute the
+//! exposed as [`Kernel::phase_boundaries`]: the launch drain executes the
 //! phases in order without interleaving blocks across a boundary, which
 //! preserves the memory effects of separate launches (and keeps the
 //! arena's read-while-write checker quiet). Results are bit-identical to
-//! the unfused pipeline at any host thread count and on both engines.
+//! the unfused pipeline at any host thread count.
 
 use std::sync::OnceLock;
 

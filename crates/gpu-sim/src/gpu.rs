@@ -1,7 +1,6 @@
 //! The device front-end: launch kernels, manage streams/events, synchronize.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::cost::CostModel;
@@ -54,6 +53,9 @@ pub enum LaunchError {
     BatchedGridDepth { z: u32 },
     /// A fused chain failed legality validation (see [`crate::fuse`]).
     FusionRejected(crate::fuse::FusionError),
+    /// The launch would wait on an event this device never issued (for
+    /// example one recorded on another [`Gpu`]). The wait is discarded.
+    UnknownEvent { event: EventId },
 }
 
 impl LaunchError {
@@ -105,48 +107,18 @@ impl std::fmt::Display for LaunchError {
                 write!(f, "batched launch requires a flat per-part grid, got depth {z}")
             }
             LaunchError::FusionRejected(e) => write!(f, "fusion rejected: {e}"),
+            LaunchError::UnknownEvent { event } => {
+                write!(f, "launch waits on event {} this device never issued", event.0)
+            }
         }
     }
 }
 
 impl std::error::Error for LaunchError {}
 
-/// How the host executes the functional phase of kernel launches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HostExec {
-    /// Execute every launch to completion inside [`Gpu::launch`], one
-    /// launch at a time (the legacy engine). Small grids can never use
-    /// more than one host core and every parallel launch pays a fresh
-    /// thread spawn/join.
-    Sync,
-    /// Defer launches into a dependency graph and drain them on the
-    /// persistent worker pool at the next sync point, overlapping
-    /// block-chunks of *independent* launches. Every observable output
-    /// is byte-identical to [`HostExec::Sync`] (see [`crate::graph`]).
-    #[default]
-    Async,
-}
-
-/// Environment variable selecting the host execution engine (`sync` or
-/// `async`); an explicit [`Gpu::set_host_exec`] override wins.
-pub const HOST_EXEC_ENV_VAR: &str = "FD_SIM_HOST_EXEC";
-
-fn env_host_exec() -> Option<HostExec> {
-    static ENV: OnceLock<Option<HostExec>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var(HOST_EXEC_ENV_VAR).ok().and_then(|v| {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "sync" => Some(HostExec::Sync),
-                "async" => Some(HostExec::Async),
-                _ => None,
-            }
-        })
-    })
-}
-
-/// A launch accepted into the queue. Under [`HostExec::Async`] the
-/// functional phase has not necessarily run yet: `kernel` is retained
-/// until a flush executes it and fills in the record's costs/counters.
+/// A launch accepted into the queue. Its functional phase runs at the
+/// next flush: `kernel` is retained until then (`Some` marks a launch
+/// still to execute), and the flush fills in the record's costs/counters.
 struct PendingLaunch {
     record: LaunchRecord,
     kernel: Option<Box<dyn Kernel>>,
@@ -158,7 +130,6 @@ struct PendingLaunch {
     stall_cycles: f64,
     /// Dependency edges (queue positions) from [`DepTracker`].
     deps: Vec<usize>,
-    executed: bool,
 }
 
 /// A simulated GPU: memory spaces, streams, a launch queue and a profiler.
@@ -178,16 +149,13 @@ pub struct Gpu {
     /// Host worker threads for the functional phase; `None` defers to
     /// `FD_SIM_THREADS` / host parallelism (see [`crate::exec`]).
     host_threads: Option<usize>,
-    /// Host execution engine override; `None` defers to
-    /// [`HOST_EXEC_ENV_VAR`], then to [`HostExec::Async`].
-    host_exec: Option<HostExec>,
     next_stream: u32,
     next_event: u32,
     pending: Vec<PendingLaunch>,
     launch_counter: usize,
     pending_waits: HashMap<StreamId, Vec<EventId>>,
     fired_events: HashSet<EventId>,
-    /// Dependency graph over the pending queue (async engine).
+    /// Dependency graph over the pending queue.
     tracker: DepTracker,
     /// Persistent workers draining the queue; spawned lazily, reused for
     /// the device's lifetime.
@@ -236,7 +204,6 @@ impl Gpu {
             textures: Vec::new(),
             mode,
             host_threads: None,
-            host_exec: None,
             next_stream: 1,
             next_event: 0,
             pending: Vec::new(),
@@ -354,25 +321,6 @@ impl Gpu {
         exec::resolve_host_threads(self.host_threads)
     }
 
-    /// Select the host execution engine (builder form).
-    pub fn with_host_exec(mut self, exec: HostExec) -> Self {
-        self.set_host_exec(Some(exec));
-        self
-    }
-
-    /// Set or clear the host-execution override. `None` defers to
-    /// [`HOST_EXEC_ENV_VAR`], then to [`HostExec::Async`]. Flushes queued
-    /// launches first — the engines must not interleave within a drain.
-    pub fn set_host_exec(&mut self, exec: Option<HostExec>) {
-        self.flush_functional();
-        self.host_exec = exec;
-    }
-
-    /// The engine the next launch will use.
-    pub fn host_exec(&self) -> HostExec {
-        self.host_exec.or_else(env_host_exec).unwrap_or_default()
-    }
-
     /// Switch between serial and concurrent kernel execution. Takes effect
     /// at the next [`Gpu::synchronize`]; pending launches are simulated
     /// under the mode active when synchronize is called.
@@ -452,14 +400,12 @@ impl Gpu {
     /// Launch `kernel` with `cfg` into `stream`.
     ///
     /// Validation and fault verdicts happen here, in launch-attempt
-    /// order. Under [`HostExec::Async`] (the default) the functional
-    /// phase is *deferred*: the launch joins the dependency graph and
-    /// executes at the next sync point ([`Gpu::synchronize`],
-    /// [`Gpu::flush`], [`Gpu::download`] …), where the worker pool
-    /// overlaps block-chunks of independent launches. Under
-    /// [`HostExec::Sync`] every block executes before this returns.
-    /// Either way the metered work becomes per-block timing costs in
-    /// linear block order, and all observable results are identical.
+    /// order. The functional phase is *deferred*: the launch joins the
+    /// dependency graph and executes at the next sync point
+    /// ([`Gpu::synchronize`], [`Gpu::flush`], [`Gpu::download`] …), where
+    /// the worker pool overlaps block-chunks of independent launches. The
+    /// metered work becomes per-block timing costs in linear block order,
+    /// and all observable results are independent of the thread count.
     pub fn launch<K: Kernel + 'static>(
         &mut self,
         kernel: K,
@@ -493,6 +439,13 @@ impl Gpu {
                 requested: cfg.shared_mem_bytes,
                 limit: self.spec.max_shared_mem_per_block,
             });
+        }
+        // Event ids are per device; one this device never issued has no
+        // source launch, and the timing phase could not order behind it.
+        if let Some(waits) = self.pending_waits.get_mut(&stream) {
+            if let Some(pos) = waits.iter().position(|e| e.0 >= self.next_event) {
+                return Err(LaunchError::UnknownEvent { event: waits.remove(pos) });
+            }
         }
 
         // Fault injection: each attempt draws an independent verdict per
@@ -547,7 +500,7 @@ impl Gpu {
         let mut access = AccessSet::new();
         kernel.access(&mut access);
         let deps = self.tracker.on_enqueue(stream, &access, &wait_events);
-        let mut record = LaunchRecord {
+        let record = LaunchRecord {
             launch_idx: self.launch_counter,
             kernel_name: kernel.name(),
             stream,
@@ -565,72 +518,16 @@ impl Gpu {
             record_events: Vec::new(),
         };
 
-        if self.host_exec() == HostExec::Sync {
-            // Legacy engine: run the whole launch inline, one fresh
-            // thread scope per launch. A fused launch reports its stage
-            // starts as phase boundaries; each phase runs to completion
-            // before the next so consumers observe their producers.
-            let env = exec::LaunchEnv {
-                mem: &self.mem,
-                constants: &self.constants,
-                textures: &self.textures,
-                cost: &self.cost,
-                warp_size: self.spec.warp_size,
-            };
-            let host_threads = exec::resolve_host_threads(self.host_threads);
-            let segments = phase_segments(kernel.phase_boundaries(), total_blocks);
-            let exec::FunctionalResult { mut block_costs, totals } =
-                if segments.len() <= 1 {
-                    exec::run_functional(&kernel, &cfg, &env, host_threads, total_blocks)
-                } else {
-                    let mut block_costs = Vec::with_capacity(total_blocks as usize);
-                    let mut totals = KernelCounters::default();
-                    for &(first, count) in &segments {
-                        let r = exec::run_functional_range(
-                            &kernel,
-                            &cfg,
-                            &env,
-                            host_threads,
-                            first,
-                            count,
-                        );
-                        block_costs.extend(r.block_costs);
-                        totals.add(&r.totals);
-                    }
-                    exec::FunctionalResult { block_costs, totals }
-                };
-            if stall_cycles > 0.0 {
-                // A stream stall pins the launch's first block for the
-                // stall duration. Charged as issue cycles so warp
-                // residency cannot hide it (the engine is stalled, not
-                // waiting on DRAM); the timing phase stretches the
-                // launch's span while functional results stay untouched.
-                block_costs[0].issue_cycles += stall_cycles;
-            }
-            record.block_costs = block_costs;
-            record.counters = totals;
-            self.pending.push(PendingLaunch {
-                record,
-                kernel: None,
-                cfg,
-                total_blocks,
-                stall_cycles: 0.0,
-                deps,
-                executed: true,
-            });
-        } else {
-            self.pending.push(PendingLaunch {
-                record,
-                kernel: Some(Box::new(kernel)),
-                cfg,
-                total_blocks,
-                stall_cycles,
-                deps,
-                executed: false,
-            });
-            let deferred = self.pending.iter().filter(|p| !p.executed).count() as u32;
-            self.mem.set_deferred_launches(deferred);
-        }
+        self.pending.push(PendingLaunch {
+            record,
+            kernel: Some(Box::new(kernel)),
+            cfg,
+            total_blocks,
+            stall_cycles,
+            deps,
+        });
+        let deferred = self.pending.iter().filter(|p| p.kernel.is_some()).count() as u32;
+        self.mem.set_deferred_launches(deferred);
         self.launch_counter += 1;
         Ok(())
     }
@@ -639,7 +536,7 @@ impl Gpu {
     /// dependency-graph drain). Called by every sync point; a no-op when
     /// nothing is deferred.
     fn flush_functional(&mut self) {
-        let Some(base) = self.pending.iter().position(|p| !p.executed) else {
+        let Some(base) = self.pending.iter().position(|p| p.kernel.is_some()) else {
             return;
         };
         let threads = exec::resolve_host_threads(self.host_threads);
@@ -705,13 +602,15 @@ impl Gpu {
                 totals.add(&r.totals);
             }
             if p.stall_cycles > 0.0 {
-                // See the inline-execution comment in `launch`: the stall
-                // pins the first block as issue cycles.
+                // A stream stall pins the launch's first block for the
+                // stall duration. Charged as issue cycles so warp
+                // residency cannot hide it (the engine is stalled, not
+                // waiting on DRAM); the timing phase stretches the
+                // launch's span while functional results stay untouched.
                 block_costs[0].issue_cycles += p.stall_cycles;
             }
             p.record.block_costs = block_costs;
             p.record.counters = totals;
-            p.executed = true;
             p.kernel = None;
         }
         self.mem.set_deferred_launches(0);
@@ -939,6 +838,40 @@ mod tests {
     }
 
     #[test]
+    fn waiting_on_a_foreign_event_is_a_typed_launch_error() {
+        // Event ids are per device: B's event 0 means nothing to A, which
+        // has issued none. The launch must reject it rather than let the
+        // timing phase panic on an event with no source launch.
+        let mut a = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let mut b = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        let b_buf = b.mem.alloc::<u32>(32);
+        let sb = b.create_stream();
+        b.launch(DoubleKernel { buf: b_buf }, LaunchConfig::linear(32, 32), sb).unwrap();
+        let foreign = b.record_event(sb);
+
+        let buf = a.mem.alloc::<u32>(32);
+        let sa = a.create_stream();
+        a.stream_wait_event(sa, foreign);
+        let k = DoubleKernel { buf };
+        assert_eq!(
+            a.launch(k, LaunchConfig::linear(32, 32), sa),
+            Err(LaunchError::UnknownEvent { event: foreign })
+        );
+        // The bad wait is discarded: the stream is usable again and the
+        // scope synchronizes without it.
+        a.launch(k, LaunchConfig::linear(32, 32), sa).unwrap();
+        assert_eq!(a.synchronize().events.len(), 1);
+
+        // A device's own events stay valid waits.
+        let s2 = a.create_stream();
+        a.launch(k, LaunchConfig::linear(32, 32), sa).unwrap();
+        let own = a.record_event(sa);
+        a.stream_wait_event(s2, own);
+        a.launch(k, LaunchConfig::linear(32, 32), s2).unwrap();
+        assert_eq!(a.synchronize().events.len(), 2);
+    }
+
+    #[test]
     fn profiler_accumulates_across_scopes() {
         let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
         let buf = gpu.mem.alloc::<u32>(256);
@@ -1112,8 +1045,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "deferred")]
     fn host_read_while_deferred_panics() {
-        let mut gpu =
-            Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial).with_host_exec(HostExec::Async);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
         let buf = gpu.mem.upload(&vec![1u32; 64]);
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(64, 64)).unwrap();
         // The launch has not run yet; reading now would observe stale data.
@@ -1122,8 +1054,7 @@ mod tests {
 
     #[test]
     fn flush_runs_functional_phase_without_timing() {
-        let mut gpu =
-            Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_exec(HostExec::Async);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
         let buf = gpu.mem.upload(&(0u32..256).collect::<Vec<_>>());
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(256, 128)).unwrap();
         gpu.flush();
@@ -1137,25 +1068,28 @@ mod tests {
 
     #[test]
     fn gpu_download_flushes_implicitly() {
-        let mut gpu =
-            Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial).with_host_exec(HostExec::Async);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
         let buf = gpu.mem.upload(&vec![21u32; 128]);
         gpu.launch_default(DoubleKernel { buf }, LaunchConfig::linear(128, 64)).unwrap();
         assert!(gpu.download(buf).iter().all(|&v| v == 42));
     }
 
     #[test]
-    fn engines_are_bit_identical() {
-        let run = |exec| {
-            let mut gpu =
-                Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_exec(exec);
-            let a = gpu.mem.upload(&(0u32..4096).collect::<Vec<_>>());
-            let b = gpu.mem.upload(&(0u32..4096).rev().collect::<Vec<_>>());
+    fn thread_counts_are_bit_identical() {
+        // 3 × 8192 thread-iterations: above PARALLEL_MIN_WORK, so the
+        // 4-thread drain really runs on the pool.
+        let n = 8192u32;
+        let run = |threads| {
+            let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent)
+                .with_host_threads(threads);
+            let a = gpu.mem.upload(&(0..n).collect::<Vec<_>>());
+            let b = gpu.mem.upload(&(0..n).rev().collect::<Vec<_>>());
             let s1 = gpu.create_stream();
             let s2 = gpu.create_stream();
-            gpu.launch(DoubleKernel { buf: a }, LaunchConfig::linear(4096, 256), s1).unwrap();
-            gpu.launch(DoubleKernel { buf: b }, LaunchConfig::linear(4096, 256), s2).unwrap();
-            gpu.launch(DoubleKernel { buf: a }, LaunchConfig::linear(4096, 256), s1).unwrap();
+            let cfg = LaunchConfig::linear(n as usize, 256);
+            gpu.launch(DoubleKernel { buf: a }, cfg, s1).unwrap();
+            gpu.launch(DoubleKernel { buf: b }, cfg, s2).unwrap();
+            gpu.launch(DoubleKernel { buf: a }, cfg, s1).unwrap();
             let t = gpu.synchronize();
             let trace: Vec<_> = gpu
                 .profiler()
@@ -1165,7 +1099,7 @@ mod tests {
                 .collect();
             (gpu.mem.download(a), gpu.mem.download(b), t.span_us().to_bits(), trace)
         };
-        assert_eq!(run(HostExec::Sync), run(HostExec::Async));
+        assert_eq!(run(1), run(4));
     }
 
     /// Doubles `buf` like [`DoubleKernel`] but burns extra host time per
@@ -1204,9 +1138,7 @@ mod tests {
 
     #[test]
     fn independent_streams_overlap_on_the_host_lane() {
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent)
-            .with_host_exec(HostExec::Async)
-            .with_host_threads(2);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(2);
         let n = 32 * 1024usize;
         let a = gpu.mem.upload(&vec![1u32; n]);
         let b = gpu.mem.upload(&vec![3u32; n]);
@@ -1282,18 +1214,17 @@ mod tests {
         }
     }
 
-    /// Fused chain vs the same stages launched separately, across both
-    /// host engines and thread counts: outputs bit-identical, one trace
+    /// Fused chain vs the same stages launched separately, across host
+    /// thread counts: outputs bit-identical, one trace
     /// row instead of three, (k-1) launch overheads and the intermediate
     /// round-trips saved.
     #[test]
     fn fused_chain_matches_separate_launches_and_is_cheaper() {
         let n = 8192usize;
         let cfg = LaunchConfig::linear(n, 256);
-        let run = |fused: bool, exec: HostExec, threads: usize| {
-            let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent)
-                .with_host_exec(exec)
-                .with_host_threads(threads);
+        let run = |fused: bool, threads: usize| {
+            let mut gpu =
+                Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(threads);
             let a = gpu.mem.upload(&(0u32..n as u32).collect::<Vec<_>>());
             let b = gpu.mem.alloc::<u32>(n);
             let c = gpu.mem.alloc::<u32>(n);
@@ -1325,8 +1256,8 @@ mod tests {
             (gpu.mem.download(d), t.span_us(), t.events.len(), totals)
         };
 
-        let baseline = run(false, HostExec::Sync, 1);
-        let fused_ref = run(true, HostExec::Sync, 1);
+        let baseline = run(false, 1);
+        let fused_ref = run(true, 1);
         assert_eq!(baseline.0, fused_ref.0, "fused results must match unfused");
         assert_eq!(baseline.2, 3, "unfused: one trace row per stage");
         assert_eq!(fused_ref.2, 1, "fused: a single launch");
@@ -1355,29 +1286,25 @@ mod tests {
             "credited traffic accounts for every avoided global byte"
         );
 
-        // Engine/thread-count invariance, fused and unfused alike.
-        for exec in [HostExec::Sync, HostExec::Async] {
-            for threads in [1, 4] {
-                let f = run(true, exec, threads);
-                assert_eq!(f.0, fused_ref.0, "{exec:?}/{threads}");
-                assert_eq!(f.1.to_bits(), fused_ref.1.to_bits(), "{exec:?}/{threads}");
-                let u = run(false, exec, threads);
-                assert_eq!(u.0, baseline.0, "{exec:?}/{threads}");
-                assert_eq!(u.1.to_bits(), baseline.1.to_bits(), "{exec:?}/{threads}");
-            }
+        // Thread-count invariance, fused and unfused alike.
+        for threads in [2, 4] {
+            let f = run(true, threads);
+            assert_eq!(f.0, fused_ref.0, "fused @ {threads} threads");
+            assert_eq!(f.1.to_bits(), fused_ref.1.to_bits(), "fused @ {threads} threads");
+            let u = run(false, threads);
+            assert_eq!(u.0, baseline.0, "unfused @ {threads} threads");
+            assert_eq!(u.1.to_bits(), baseline.1.to_bits(), "unfused @ {threads} threads");
         }
     }
 
     /// A launch after a fused chain that reads the chain's output must
-    /// order behind the whole chain in the async engine (its dependency
-    /// points at the chain's *last* phase node).
+    /// order behind the whole chain in the drain (its dependency points
+    /// at the chain's *last* phase node).
     #[test]
     fn downstream_of_fused_chain_sees_final_stage_output() {
         let n = 8192usize;
         let cfg = LaunchConfig::linear(n, 256);
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent)
-            .with_host_exec(HostExec::Async)
-            .with_host_threads(4);
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent).with_host_threads(4);
         let a = gpu.mem.upload(&vec![1u32; n]);
         let b = gpu.mem.alloc::<u32>(n);
         let c = gpu.mem.alloc::<u32>(n);

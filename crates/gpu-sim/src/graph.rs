@@ -1,10 +1,10 @@
 //! Dependency graph over pending launches.
 //!
-//! The asynchronous engine (see [`crate::Gpu`]) defers the functional
-//! phase: launches are enqueued and only executed at a sync point. To
-//! preserve the memory effects of serial issue order while letting
-//! *independent* launches overlap on the worker pool, each enqueue
-//! computes the set of earlier pending launches it must wait for:
+//! [`crate::Gpu`] defers the functional phase: launches are enqueued and
+//! only executed at a sync point. To preserve the memory effects of
+//! serial issue order while letting *independent* launches overlap on
+//! the worker pool, each enqueue computes the set of earlier pending
+//! launches it must wait for:
 //!
 //! - **program order** — a launch depends on the previous launch in its
 //!   stream, exactly like CUDA stream semantics;
@@ -108,7 +108,8 @@ impl DepTracker {
 
         // Event edges. Unknown sources were recorded before the current
         // queue (already executed) or pre-fired on an idle stream; both
-        // are satisfied by definition.
+        // are satisfied by definition. Ids the device never issued are
+        // rejected by `Gpu::launch` before they reach the tracker.
         for e in wait_events {
             if let Some(&src) = self.event_sources.get(&e.0) {
                 deps.push(src);

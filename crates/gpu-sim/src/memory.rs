@@ -51,7 +51,7 @@ thread_local! {
     static IN_KERNEL_SCOPE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// RAII marker entered by the execution engine around kernel block
+/// RAII marker entered by the launch drain around kernel block
 /// execution. While launches are deferred ([`DeviceMemory::set_deferred_launches`]),
 /// buffer access from threads *outside* such a scope panics — it would
 /// observe pre-launch memory state that serial issue order never exposed.
@@ -157,7 +157,7 @@ impl<T> DevBuf<T> {
 }
 
 /// The device buffers a kernel launch reads and writes, declared through
-/// [`crate::Kernel::access`]. The asynchronous execution engine builds
+/// [`crate::Kernel::access`]. The deferred-launch dependency graph builds
 /// read/write hazard edges from these sets: a reader is ordered after the
 /// buffer's last writer, a writer after the last writer *and* every
 /// reader since. A kernel that does not (or cannot) declare its accesses
@@ -381,7 +381,7 @@ impl DeviceMemory {
     /// deferred launch may still read or write: under serial issue order
     /// those launches had already executed, so such an access would
     /// silently see different data. Allocating *new* buffers is exempt
-    /// (deferred launches cannot reference them), as are the engine's own
+    /// (deferred launches cannot reference them), as are the drain's own
     /// worker threads ([`KernelScope`]).
     fn assert_host_quiesced(&self) {
         let n = self.deferred_launches.load(Ordering::Relaxed);

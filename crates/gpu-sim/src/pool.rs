@@ -1,16 +1,15 @@
 //! Persistent worker pool draining the pending-launch dependency graph.
 //!
-//! The synchronous path spawns a fresh `std::thread::scope` per launch;
-//! at detector scale that is hundreds of thread spawns per frame, each a
-//! kernel round-trip, and a sub-threshold grid can never use more than
-//! one core. The pool is spawned once per [`crate::Gpu`] and drains a
-//! whole queue at a time: workers claim fixed-size block *chunks* from
-//! any launch whose dependencies ([`crate::graph`]) are satisfied, so
-//! many small independent per-scale launches finally overlap — the host
-//! analogue of SM backfilling across CUDA streams.
+//! The pool is spawned once per [`crate::Gpu`] and drains a whole queue
+//! at a time: workers claim fixed-size block *chunks* from any launch
+//! whose dependencies ([`crate::graph`]) are satisfied, so many small
+//! independent per-scale launches overlap — the host analogue of SM
+//! backfilling across CUDA streams. No thread is spawned per launch, and
+//! a queue too small to pay the hand-off runs inline on the host thread
+//! in launch order ([`drain_serial`], also the one-thread schedule).
 //!
-//! Determinism is structural, exactly as in [`crate::exec`]:
-//! which worker runs which chunk when is scheduler noise, but every
+//! Determinism is structural: which worker runs which chunk when is
+//! scheduler noise, but every
 //! chunk's results land in a slot keyed by (launch, chunk id), per-launch
 //! costs are stitched in linear block order, counters are reduced by one
 //! ordered fold, and the drain returns results in launch order. Memory
@@ -109,6 +108,8 @@ impl<'a> DrainJob<'a> {
             }
         }
         let ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        // ~8 chunks per worker bounds the tail (the last chunk finishing
+        // late) to ~1/8 of one worker's share.
         let chunk: Vec<usize> = nodes
             .iter()
             .map(|nd| {
@@ -504,9 +505,15 @@ mod tests {
             for i in base..end {
                 dst[i] = src[i].wrapping_mul(self.mul).wrapping_add(self.add);
             }
-            ctx.meter.alu(ctx.warps_in_block());
+            // Block-dependent metering: branch counters alone never reach
+            // `BlockCost`, so the ALU count varies too, giving every block
+            // a distinct issue cost. A chunk stitched out of linear block
+            // order then shows up in the per-block cost comparison.
+            let b = ctx.block_idx.x as u64;
+            ctx.meter.alu(ctx.warps_in_block() + b % 7);
             ctx.meter.global_load(((end - base) * 4) as u64);
             ctx.meter.global_store(((end - base) * 4) as u64);
+            ctx.meter.branches(b + 1, b % 2);
         }
         fn access(&self, set: &mut crate::memory::AccessSet) {
             set.reads(self.src).writes(self.dst);

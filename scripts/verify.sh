@@ -18,16 +18,10 @@ for t in 1 4; do
   FD_SIM_THREADS=$t cargo test -q --offline -p fd-gpu -p fd-detector
 done
 
-echo "== async host execution (asserts >= 1.3x frame throughput vs the sync engine and bit-identical outputs) =="
-# Scratch results dir: the committed results/BENCH_async_exec.json stays
-# the full-length run.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin async_exec -- --assert-min-speedup-pct 130
-
 echo "== kernel fusion (asserts >= 1.2x end-to-end speedup, >= 1.15x batched, bit-identical detections) =="
-# The bench's identity check sweeps both host engines and thread counts
-# via DetectorConfig (the FD_SIM_THREADS matrix above additionally runs
-# the fusion_identity proptests under both env settings). Scratch results
+# The bench's identity check compares 1 and 4 host threads via
+# DetectorConfig (the FD_SIM_THREADS matrix above additionally runs the
+# fusion_identity proptests under both env settings). Scratch results
 # dir: the committed results/BENCH_fusion.json stays the reference run.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin fusion -- --assert-min-speedup-pct 120 --assert-min-batched-pct 115
@@ -35,7 +29,7 @@ FD_RESULTS_DIR="$(mktemp -d)" \
 echo "== occupancy autotune (asserts >= 1.1x autotuned batched speedup, byte-identical detections, live limiting-factor counters) =="
 # Scratch results dir: the committed results/BENCH_occupancy.json stays
 # the reference run. The bench itself asserts the detection byte-identity
-# across {autotune} x {fusion} x host engines/threads and fails on
+# across {autotune} x {fusion} x host thread counts and fails on
 # degenerate occupancy accounting.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin occupancy -- --assert-min-batched-pct 110
