@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use fd_detector::{DetectorConfig, FaceDetector};
+use fd_bench::harness::paper_config;
+use fd_detector::FaceDetector;
 use fd_gpu::ExecMode;
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_imgproc::GrayImage;
@@ -44,10 +45,7 @@ fn bench_pipeline(c: &mut Criterion) {
         let img = frame(w, h);
         for (mode, name) in [(ExecMode::Concurrent, "concurrent"), (ExecMode::Serial, "serial")] {
             group.bench_function(BenchmarkId::new(name, format!("{w}x{h}")), |b| {
-                let mut det = FaceDetector::new(
-                    &cascade,
-                    DetectorConfig { exec_mode: mode, ..DetectorConfig::default() },
-                );
+                let mut det = FaceDetector::new(&cascade, paper_config(mode));
                 b.iter(|| black_box(det.detect(black_box(&img)).expect("detect").detect_ms))
             });
         }

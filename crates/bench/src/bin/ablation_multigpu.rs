@@ -5,10 +5,11 @@
 //! Usage: `ablation_multigpu [--frames N]`.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
+use fd_bench::harness::paper_config;
 use fd_bench::out::{arg_usize, render_table, write_csv};
 use fd_detector::multi_gpu::detect_multi_gpu;
-use fd_detector::{DetectorConfig, FaceDetector};
-use fd_gpu::{DeviceSpec, PcieModel};
+use fd_detector::FaceDetector;
+use fd_gpu::{DeviceSpec, ExecMode, PcieModel};
 use fd_video::movie_trailers;
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
     for fi in 0..frames {
         let frame = trailer.render_frame(fi);
 
-        let mut det = FaceDetector::new(&pair.ours, DetectorConfig::default());
+        let mut det = FaceDetector::new(&pair.ours, paper_config(ExecMode::Concurrent));
         let single = det.detect(&frame).expect("detect").detect_ms;
 
         let mut cols = vec![fi.to_string(), format!("{single:.3}")];

@@ -11,9 +11,10 @@
 //! Usage: `ablation_rearrange [--frames N] [--segment K]`.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
+use fd_bench::harness::paper_config;
 use fd_bench::out::{arg_usize, render_table, write_csv};
 use fd_detector::kernels::run_rearranged_level;
-use fd_detector::{DetectorConfig, FaceDetector};
+use fd_detector::FaceDetector;
 use fd_gpu::{DeviceSpec, ExecMode, Gpu};
 use fd_imgproc::{GrayImage, IntegralImage, Pyramid};
 use fd_video::movie_trailers;
@@ -43,7 +44,7 @@ fn main() {
 
         // (a) The paper's approach: blocked tiled kernels, one stream per
         // scale, concurrent execution (full pipeline time).
-        let mut det = FaceDetector::new(&pair.ours, DetectorConfig::default());
+        let mut det = FaceDetector::new(&pair.ours, paper_config(ExecMode::Concurrent));
         let concurrent_ms = det.detect(&frame).expect("detect").detect_ms;
 
         // (b) Rearrangement: per level, segments + compaction. Pyramid

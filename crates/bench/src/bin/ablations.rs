@@ -9,6 +9,7 @@
 //! Usage: `ablations [--frames N]`.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
+use fd_bench::harness::paper_config;
 use fd_bench::out::{arg_usize, render_table, write_csv};
 use fd_detector::kernels::CascadeKernel;
 use fd_detector::{DetectorConfig, FaceDetector};
@@ -99,7 +100,7 @@ fn main() {
     for factor in [1.1f64, 1.18, 1.25, 1.4, 1.6] {
         let mut det = FaceDetector::new(
             &pair.ours,
-            DetectorConfig { scale_factor: factor, ..DetectorConfig::default() },
+            DetectorConfig { scale_factor: factor, ..paper_config(ExecMode::Concurrent) },
         );
         let mut ms = 0.0;
         let mut dets = 0usize;

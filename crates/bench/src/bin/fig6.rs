@@ -8,8 +8,9 @@
 //! serial}.csv` and prints an ASCII lane chart of the cascade kernels.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
+use fd_bench::harness::paper_config;
 use fd_bench::out::{arg_usize, write_csv};
-use fd_detector::{DetectorConfig, FaceDetector};
+use fd_detector::FaceDetector;
 use fd_gpu::{ExecMode, Timeline};
 use fd_video::movie_trailers;
 
@@ -76,10 +77,7 @@ fn main() {
 
     let mut overlap_summary = Vec::new();
     for (mode, name) in [(ExecMode::Concurrent, "concurrent"), (ExecMode::Serial, "serial")] {
-        let mut det = FaceDetector::new(
-            &pair.ours,
-            DetectorConfig { exec_mode: mode, ..DetectorConfig::default() },
-        );
+        let mut det = FaceDetector::new(&pair.ours, paper_config(mode));
         let r = det.detect(&frame).expect("detect");
         println!(
             "\n=== {name} mode: frame span {:.3} ms, SM occupancy {:.1}% ===",

@@ -17,9 +17,10 @@
 //! Usage: `fig9 [--faces N] [--backgrounds M] [--side S]`.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
-use fd_bench::harness::equivalent_stage_cut;
+use fd_bench::harness::{equivalent_stage_cut, paper_config};
 use fd_bench::out::{arg_usize, write_csv};
 use fd_detector::{DetectorConfig, FaceDetector};
+use fd_gpu::ExecMode;
 use fd_eval::roc::{match_frame, roc_curve, FrameEval};
 use fd_eval::scface::MugshotDataset;
 use fd_haar::Cascade;
@@ -27,7 +28,7 @@ use fd_haar::Cascade;
 fn evaluate(cascade: &Cascade, ds: &MugshotDataset) -> Vec<FrameEval> {
     let mut det = FaceDetector::new(
         cascade,
-        DetectorConfig { min_neighbors: 1, ..DetectorConfig::default() },
+        DetectorConfig { min_neighbors: 1, ..paper_config(ExecMode::Concurrent) },
     );
     ds.images
         .iter()

@@ -2,9 +2,10 @@
 //! scale/smoothing/integral stages fused (scale+filter+scan+transpose
 //! and scan+transpose as single launches) vs the unfused eight-launch
 //! baseline — single frames and a batched submission — plus a per-level
-//! breakdown of launch counts and device busy time, and a bit-identity
-//! check that fusion changes no detection. Writes
-//! `results/BENCH_fusion.json`.
+//! breakdown of launch counts and device busy time, the scheduler's
+//! occupancy accounting per run (mean theoretical warp occupancy and the
+//! per-launch limiting-factor breakdown), and a bit-identity check that
+//! fusion changes no detection. Writes `results/BENCH_fusion.json`.
 //!
 //! The comparison is in *simulated device time* (`Timeline::span_us`),
 //! which is deterministic: the fused pipeline pays one launch overhead
@@ -23,9 +24,16 @@
 //! 24x24-thread blocks (18 warps) cap residency at 2 blocks per 48-warp
 //! SM, so at batch depth the span is dominated by an occupancy-bound
 //! cascade tail that is identical in both fusion modes.
+//!
+//! The process also exits non-zero if the occupancy accounting comes back
+//! degenerate: every run must report a limiting factor and a positive
+//! mean occupancy.
+
+use std::collections::BTreeMap;
 
 use fd_bench::out::{arg_usize, write_text};
 use fd_detector::{DetectorConfig, FaceDetector};
+use fd_gpu::Timeline;
 use fd_haar::{Cascade, FeatureKind, HaarFeature, Stage, Stump};
 use fd_imgproc::GrayImage;
 
@@ -54,11 +62,31 @@ fn detector(cascade: &Cascade, fusion: bool, threads: usize) -> FaceDetector {
         cascade,
         DetectorConfig {
             scale_factor: 1.2,
-            fusion: Some(fusion),
+            fusion,
             host_threads: Some(threads),
             ..DetectorConfig::default()
         },
     )
+}
+
+/// One run's occupancy accounting: the launch-weighted mean theoretical
+/// warp occupancy, and how many launches each per-SM budget bounded.
+struct Occupancy {
+    run: &'static str,
+    fusion: bool,
+    mean: f64,
+    limits: BTreeMap<&'static str, u64>,
+}
+
+impl Occupancy {
+    fn of(run: &'static str, fusion: bool, t: &Timeline) -> Self {
+        Self {
+            run,
+            fusion,
+            mean: t.mean_theoretical_occupancy(),
+            limits: t.limiting_factor_counts(),
+        }
+    }
 }
 
 /// Per-stream (= per pyramid level) launch count and device busy time
@@ -112,10 +140,10 @@ fn main() {
         let mut det = detector(&cascade, fusion, 4);
         let r = det.detect(&frame).expect("detect");
         let levels = per_level(&det);
-        (r.detect_ms * 1000.0, levels)
+        (r.detect_ms * 1000.0, levels, Occupancy::of("single", fusion, &r.timeline))
     };
-    let (unfused_us, unfused_levels) = single(false);
-    let (fused_us, fused_levels) = single(true);
+    let (unfused_us, unfused_levels, unfused_occ) = single(false);
+    let (fused_us, fused_levels, fused_occ) = single(true);
     let single_speedup = unfused_us / fused_us;
 
     // Batched submission: B same-geometry frames as one device submission.
@@ -123,10 +151,11 @@ fn main() {
         let mut det = detector(&cascade, fusion, 4);
         let refs: Vec<&GrayImage> = (0..batch).map(|_| &frame).collect();
         let rs = det.detect_batch(&refs).expect("detect_batch");
-        rs[0].detect_ms * 1000.0
+        (rs[0].detect_ms * 1000.0, Occupancy::of("batched", fusion, &rs[0].timeline))
     };
-    let unfused_batch_us = batched(false);
-    let fused_batch_us = batched(true);
+    let (unfused_batch_us, unfused_batch_occ) = batched(false);
+    let (fused_batch_us, fused_batch_occ) = batched(true);
+    let occupancy = [unfused_occ, fused_occ, unfused_batch_occ, fused_batch_occ];
     let batched_speedup = unfused_batch_us / fused_batch_us;
 
     assert_eq!(unfused_levels.len(), fused_levels.len(), "same pyramid depth");
@@ -142,6 +171,22 @@ fn main() {
             )
         })
         .collect();
+    let occupancy_rows: Vec<String> = occupancy
+        .iter()
+        .map(|o| {
+            let limits = o
+                .limits
+                .iter()
+                .map(|(k, v)| format!("\"{k}\": {v}"))
+                .collect::<Vec<_>>()
+                .join(", ");
+            format!(
+                "    {{ \"run\": \"{}\", \"fusion\": {}, \"mean_warp_occupancy\": {:.4}, \
+                 \"limiting_factors\": {{ {limits} }} }}",
+                o.run, o.fusion, o.mean
+            )
+        })
+        .collect();
 
     let json = format!(
         "{{\n  \"bench\": \"kernel_fusion\",\n  \"frame\": [{width}, {height}],\n  \
@@ -150,13 +195,17 @@ fn main() {
          \"speedup\": {single_speedup:.3} }},\n  \
          \"batched\": {{ \"unfused_us\": {unfused_batch_us:.3}, \"fused_us\": {fused_batch_us:.3}, \
          \"speedup\": {batched_speedup:.3} }},\n  \"levels\": [\n{}\n  ],\n  \
+         \"occupancy\": [\n{}\n  ],\n  \
          \"note\": \"simulated device time; fused = scale+filter+scan+transpose and \
          scan+transpose as single launches per level (2 instead of 6), intermediates credited \
          at on-chip rates; detections bit-identical to the unfused baseline. The batched \
          ratio converges below the single-frame one because the cascade stage's 24x24 blocks \
          (18 warps, 2 resident per 48-warp SM) make its tail occupancy-bound and identical \
-         in both modes.\"\n}}\n",
+         in both modes. mean_warp_occupancy is the launch-weighted theoretical residency; \
+         limiting_factors counts which per-SM budget (registers/smem/warps/threads/blocks) \
+         bounded each launch's residency.\"\n}}\n",
         level_rows.join(",\n"),
+        occupancy_rows.join(",\n"),
     );
     print!("{json}");
     let path = write_text("BENCH_fusion.json", &json).unwrap();
@@ -174,6 +223,17 @@ fn main() {
         let need = min_batched_pct as f64 / 100.0;
         if batched_speedup < need {
             eprintln!("FAIL: batched fusion speedup {batched_speedup:.3}x below {need:.2}x");
+            failed = true;
+        }
+    }
+    // The occupancy accounting must be live: every run reports at least
+    // one limiting factor and a positive mean occupancy.
+    for o in &occupancy {
+        if o.limits.is_empty() || o.mean <= 0.0 {
+            eprintln!(
+                "FAIL: degenerate occupancy accounting ({} run, fusion={})",
+                o.run, o.fusion
+            );
             failed = true;
         }
     }

@@ -3,6 +3,7 @@
 //! defaults; not part of the paper's tables.
 
 use fd_bench::cascades::{trained_cascade_pair, TrainingBudget};
+use fd_bench::harness::paper_config;
 use fd_bench::out::arg_usize;
 use fd_detector::{DetectorConfig, FaceDetector};
 use fd_gpu::ExecMode;
@@ -31,7 +32,7 @@ fn main() {
     for (name, cascade) in [("ours", &pair.ours), ("opencv-like", &pair.opencv_like)] {
         let mut det = FaceDetector::new(
             cascade,
-            DetectorConfig { min_neighbors: 1, ..DetectorConfig::default() },
+            DetectorConfig { min_neighbors: 1, ..paper_config(ExecMode::Concurrent) },
         );
         let mut hits = 0;
         let mut fps = 0;
@@ -62,10 +63,7 @@ fn main() {
 
     for (name, cascade) in [("ours", &pair.ours), ("opencv-like", &pair.opencv_like)] {
         for mode in [ExecMode::Concurrent, ExecMode::Serial] {
-            let mut det = FaceDetector::new(
-                cascade,
-                DetectorConfig { exec_mode: mode, ..DetectorConfig::default() },
-            );
+            let mut det = FaceDetector::new(cascade, paper_config(mode));
             let tw = std::time::Instant::now();
             let r = det.detect(&frame0).expect("detect");
             eprintln!(

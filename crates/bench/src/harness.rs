@@ -8,6 +8,14 @@ use fd_video::{HwDecoder, TrailerInfo};
 
 use crate::cascades::CascadePair;
 
+/// The paper's detector configuration: the unfused eight-launch chain of
+/// Fig. 1 under `exec_mode`. Every paper-figure and ablation path builds
+/// its detectors from this, so the fusion default of [`DetectorConfig`]
+/// cannot move Table II or Figs. 5-9.
+pub fn paper_config(exec_mode: ExecMode) -> DetectorConfig {
+    DetectorConfig { exec_mode, fusion: false, ..DetectorConfig::default() }
+}
+
 /// Per-frame latency series for one (cascade, mode) configuration over a
 /// trailer. Returns `(detect_ms, decode_ms)` per frame.
 pub fn detect_series(
@@ -17,10 +25,7 @@ pub fn detect_series(
     n_frames: usize,
 ) -> (Vec<f64>, Vec<f64>) {
     let decoder = HwDecoder::new(info.generate(n_frames));
-    let mut detector = FaceDetector::new(
-        cascade,
-        DetectorConfig { exec_mode: mode, ..DetectorConfig::default() },
-    );
+    let mut detector = FaceDetector::new(cascade, paper_config(mode));
     let mut detect_ms = Vec::with_capacity(n_frames);
     let mut decode_ms = Vec::with_capacity(n_frames);
     for frame in decoder {
@@ -150,7 +155,7 @@ pub fn run_rejection_surface(
     let decoder = HwDecoder::new(info.generate(n_frames));
     let mut detector = FaceDetector::new(
         cascade,
-        DetectorConfig { collect_rejection_stats: true, ..DetectorConfig::default() },
+        DetectorConfig { collect_rejection_stats: true, ..paper_config(ExecMode::Concurrent) },
     );
     let mut counts: Vec<Vec<u64>> = Vec::new();
     let mut windows: Vec<u64> = Vec::new();
@@ -191,7 +196,7 @@ pub struct CountersReport {
 /// Gather the §VI-A counters over a trailer run.
 pub fn run_counters(cascade: &Cascade, info: &TrailerInfo, n_frames: usize) -> CountersReport {
     let decoder = HwDecoder::new(info.generate(n_frames));
-    let mut detector = FaceDetector::new(cascade, DetectorConfig::default());
+    let mut detector = FaceDetector::new(cascade, paper_config(ExecMode::Concurrent));
     let mut detect_ms = Vec::new();
     let mut decode_ms = Vec::new();
     let mut dram_min = f64::INFINITY;
@@ -267,6 +272,16 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn paper_config_is_the_unfused_chain() {
+        for mode in [ExecMode::Serial, ExecMode::Concurrent] {
+            let cfg = paper_config(mode);
+            assert!(!cfg.fusion, "the paper baseline is unfused");
+            assert_eq!(cfg.exec_mode, mode);
+        }
+        assert!(DetectorConfig::default().fusion, "fusion is the library default");
     }
 
     #[test]

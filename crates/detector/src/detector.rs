@@ -38,17 +38,12 @@ pub struct DetectorConfig {
     /// fault-free device.
     pub fault_plan: Option<FaultPlan>,
     /// Fuse the smoothing/integral pipeline stages into combined
-    /// launches (see [`fd_gpu::fuse`]). `None` defers to `FD_SIM_FUSION`,
-    /// then to off (the unfused paper baseline). Detections are
-    /// bit-identical either way; fused frames pay fewer launch overheads
-    /// and keep chain-internal intermediates off the global traffic
-    /// ledger.
-    pub fusion: Option<bool>,
-    /// Autotune launch shapes through the scheduler's occupancy model
-    /// (see [`fd_gpu::tune`]). `None` defers to `FD_SIM_AUTOTUNE`, then
-    /// to off (the fixed-shape baseline). Detections are byte-identical
-    /// either way; only block shapes and timing change.
-    pub autotune: Option<bool>,
+    /// launches (see [`fd_gpu::fuse`]). On by default; `false` is the
+    /// paper's unfused Fig. 1 chain, which the paper-figure benches pin.
+    /// Detections are bit-identical either way; fused frames pay fewer
+    /// launch overheads and keep chain-internal intermediates off the
+    /// global traffic ledger.
+    pub fusion: bool,
 }
 
 impl Default for DetectorConfig {
@@ -62,8 +57,7 @@ impl Default for DetectorConfig {
             collect_rejection_stats: false,
             host_threads: None,
             fault_plan: None,
-            fusion: None,
-            autotune: None,
+            fusion: true,
         }
     }
 }
@@ -139,12 +133,7 @@ impl FaceDetector {
         gpu.set_host_threads(config.host_threads);
         gpu.set_fault_plan(config.fault_plan.clone());
         let mut pipeline = FramePipeline::try_new(gpu, cascade, config.scale_factor)?;
-        if let Some(fusion) = config.fusion {
-            pipeline.set_fusion(fusion);
-        }
-        if let Some(autotune) = config.autotune {
-            pipeline.set_autotune(autotune);
-        }
+        pipeline.set_fusion(config.fusion);
         Ok(Self { pipeline, config })
     }
 
@@ -155,19 +144,8 @@ impl FaceDetector {
 
     /// Enable or disable kernel fusion (takes effect next frame).
     pub fn set_fusion(&mut self, fusion: bool) {
-        self.config.fusion = Some(fusion);
+        self.config.fusion = fusion;
         self.pipeline.set_fusion(fusion);
-    }
-
-    /// Whether launch shapes are autotuned.
-    pub fn autotune(&self) -> bool {
-        self.pipeline.autotune()
-    }
-
-    /// Enable or disable launch-shape autotuning (takes effect next frame).
-    pub fn set_autotune(&mut self, autotune: bool) {
-        self.config.autotune = Some(autotune);
-        self.pipeline.set_autotune(autotune);
     }
 
     /// The active configuration.
@@ -544,9 +522,12 @@ mod tests {
 
     #[test]
     fn timeline_has_one_trace_row_per_launch() {
-        let mut det = FaceDetector::new(&edge_cascade(1), DetectorConfig::default());
+        let mut det = FaceDetector::new(
+            &edge_cascade(1),
+            DetectorConfig { fusion: false, ..DetectorConfig::default() },
+        );
         let r = det.detect(&frame_with_pattern()).unwrap();
-        // 8 kernels per level.
+        // 8 kernels per level on the unfused chain.
         assert_eq!(r.timeline.events.len() % 8, 0);
         assert!(r.timeline.events.iter().any(|e| e.kernel_name == "cascade_eval"));
     }

@@ -74,11 +74,6 @@ pub struct CascadeKernel {
     /// reads per rectangle per lane), modelling a kernel without the
     /// Eqs. 1-4 staging.
     pub use_shared_tile: bool,
-    /// Block height in window rows (the autotuner's shape axis). The
-    /// block stays [`Self::BLOCK`] columns wide — the tile row stride the
-    /// precompiled stump offsets assume — and covers `block_h` rows of
-    /// window origins with a `48 x (block_h + 24)` shared tile.
-    block_h: u32,
 }
 
 impl CascadeKernel {
@@ -89,11 +84,6 @@ impl CascadeKernel {
     pub const TILE: u32 = 48;
     /// Shared-memory request for the tile.
     pub const SHARED_BYTES: u32 = Self::TILE * Self::TILE * 4;
-    /// Block heights the autotuner may pick from, default first. All
-    /// keep whole warps (`24 * h` divisible by 32) so warp lane
-    /// composition — and with it divergence metering and every output
-    /// byte — is identical across the family.
-    pub const BLOCK_HEIGHTS: [u32; 5] = [24, 20, 16, 12, 8];
 
     /// Precompile `cascade` for this level. The cascade must already be
     /// quantized to the constant-memory grid (so the functional results
@@ -159,7 +149,6 @@ impl CascadeKernel {
             window: Self::BLOCK as usize,
             const_words_per_stump: 3,
             use_shared_tile: true,
-            block_h: Self::BLOCK,
         }
     }
 
@@ -175,26 +164,9 @@ impl CascadeKernel {
         self
     }
 
-    /// Re-tile to `block_h` window rows per block (width stays
-    /// [`Self::BLOCK`]). Must be one of [`Self::BLOCK_HEIGHTS`]' legal
-    /// heights: `1..=24` with `24 * block_h` a warp multiple.
-    pub fn with_block_h(mut self, block_h: u32) -> Self {
-        assert!(
-            (1..=Self::BLOCK).contains(&block_h) && (Self::BLOCK * block_h).is_multiple_of(32),
-            "block_h must be in 1..=24 with 24*block_h a warp multiple, got {block_h}"
-        );
-        self.block_h = block_h;
-        self
-    }
-
-    /// Shared-tile bytes for a given block height: `48 x (h + 24)` u32s.
-    fn shared_bytes_for(block_h: u32) -> u32 {
-        Self::TILE * (block_h + Self::BLOCK) * 4
-    }
-
     pub fn config(&self) -> LaunchConfig {
-        LaunchConfig::tile2d(self.width, self.height, Self::BLOCK, self.block_h)
-            .with_shared_mem(Self::shared_bytes_for(self.block_h))
+        LaunchConfig::tile2d(self.width, self.height, Self::BLOCK, Self::BLOCK)
+            .with_shared_mem(Self::SHARED_BYTES)
     }
 
     pub fn n_stages(&self) -> u32 {
@@ -209,23 +181,20 @@ impl Kernel for CascadeKernel {
 
     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         let b = Self::BLOCK as usize;
-        let bh = self.block_h as usize;
         let tile_w = Self::TILE as usize;
-        let tile_h = bh + b;
         let bx = ctx.block_idx.x as usize * b;
-        let by = ctx.block_idx.y as usize * bh;
+        let by = ctx.block_idx.y as usize * b;
         let (w, h) = (self.width, self.height);
 
-        // ---- Cooperative tile load (Eqs. 1-4): the block stages the
-        // `48 x (block_h + 24)` neighbourhood its windows touch. At the
-        // default square shape thread (x, y) brings the four pixels
-        // (x,y), (x+n,y), (x,y+m), (x+n,y+m); narrower blocks spread the
-        // same entries over fewer threads. Tile (0,0) maps to integral
-        // entry (bx-1, by-1); entries left/above the image are zero.
-        let mut tile = ctx.shared_alloc_u32(tile_w * tile_h);
+        // ---- Cooperative tile load (Eqs. 1-4): thread (x, y) brings the
+        // four pixels (x,y), (x+n,y), (x,y+m), (x+n,y+m) of the 48x48
+        // neighbourhood the block's windows touch. Tile (0,0) maps to
+        // integral entry (bx-1, by-1); entries left/above the image are
+        // zero.
+        let mut tile = ctx.shared_alloc_u32(tile_w * tile_w);
         {
             let integral = ctx.mem.read(self.integral);
-            for ty in 0..tile_h {
+            for ty in 0..tile_w {
                 let gy = by as isize + ty as isize - 1;
                 for tx in 0..tile_w {
                     let gx = bx as isize + tx as isize - 1;
@@ -239,12 +208,12 @@ impl Kernel for CascadeKernel {
             }
         }
         // Coalesced 4-byte loads covering the tile + the matching shared
-        // stores (whole-warp transactions, `loads_per_thread` rounds).
-        let threads = (b * bh) as u64;
+        // stores (whole-warp transactions, four rounds per thread).
+        let threads = (b * b) as u64;
         let warp = ctx.warp_size() as u64;
         let block_warps = threads.div_ceil(warp);
         if self.use_shared_tile {
-            let tile_entries = (tile_w * tile_h) as u64;
+            let tile_entries = (tile_w * tile_w) as u64;
             ctx.meter.global_load(4 * tile_entries);
             ctx.meter.shared(tile_entries.div_ceil(threads) * block_warps);
             ctx.syncthreads();
@@ -374,7 +343,7 @@ impl Kernel for CascadeKernel {
         ctx.meter.branches(m_branches, m_divergent);
         // Depth + score stores: 8 bytes per covered pixel.
         let covered_w = (w - bx).min(b);
-        let covered_h = (h - by).min(bh);
+        let covered_h = (h - by).min(b);
         ctx.meter.global_store(8 * (covered_w * covered_h) as u64);
     }
 
@@ -385,34 +354,8 @@ impl Kernel for CascadeKernel {
     fn registers_per_thread(&self) -> u32 {
         // The footprint class of the real sm_20 kernel: window origin,
         // running score, stump decode scratch and the tile base pointer
-        // stay live across the stage loop. High enough that narrow
-        // re-tilings become register-bound before the block cap.
+        // stay live across the stage loop.
         22
-    }
-
-    fn shape_family(&self) -> Option<fd_gpu::ShapeFamily> {
-        let shapes = Self::BLOCK_HEIGHTS
-            .iter()
-            .map(|&bh| {
-                let cfg = LaunchConfig::tile2d(self.width, self.height, Self::BLOCK, bh)
-                    .with_shared_mem(Self::shared_bytes_for(bh));
-                let tile_entries = (Self::TILE * (bh + Self::BLOCK)) as f64;
-                let threads = (Self::BLOCK * bh) as f64;
-                fd_gpu::ShapeCandidate {
-                    grid: cfg.grid,
-                    block: cfg.block,
-                    shared_mem_bytes: cfg.shared_mem_bytes,
-                    registers_per_thread: self.registers_per_thread(),
-                    // Per-window stump work is shape-invariant.
-                    issue_per_thread: 12.0,
-                    // Halo amplification: every block band re-reads a
-                    // 24-row apron, so narrower bands pay more tile
-                    // bytes per covered window (+8 B depth/score out).
-                    mem_bytes_per_thread: 4.0 * tile_entries / threads + 8.0,
-                }
-            })
-            .collect();
-        Some(fd_gpu::ShapeFamily { kernel: self.name(), shapes })
     }
 }
 
@@ -541,46 +484,6 @@ mod tests {
         assert!(t.events[0].counters.divergent_branches > 0, "expected divergence");
         // Branch efficiency still high (most warps are uniform).
         assert!(t.events[0].counters.branch_efficiency() > 0.5);
-    }
-
-    #[test]
-    fn every_block_height_is_byte_identical_to_the_default() {
-        let img = GrayImage::from_fn(70, 53, |x, y| {
-            ((x as u32 * 73 + y as u32 * 149).wrapping_mul(2654435761) >> 24) as f32
-        });
-        let c = contrast_cascade();
-        let run = |bh: u32| {
-            let (w, h) = (img.width(), img.height());
-            let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
-            let integral = gpu.mem.upload(&device_integral(&img));
-            let depth = gpu.mem.alloc::<u32>(w * h);
-            let score = gpu.mem.alloc::<f32>(w * h);
-            let cp = gpu.const_upload(&encode_cascade(&c));
-            let k = CascadeKernel::new(&c, integral, w, h, depth, score, cp).with_block_h(bh);
-            let cfg = k.config();
-            gpu.launch_default(k, cfg).unwrap();
-            gpu.synchronize();
-            let bits: Vec<u32> = gpu.mem.download(score).iter().map(|s| s.to_bits()).collect();
-            (gpu.mem.download(depth), bits)
-        };
-        let base = run(CascadeKernel::BLOCK);
-        for bh in CascadeKernel::BLOCK_HEIGHTS {
-            assert_eq!(run(bh), base, "block_h {bh} must not change any output byte");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "warp multiple")]
-    fn rejects_partial_warp_block_heights() {
-        let img = GrayImage::from_fn(24, 24, |_, _| 0.0);
-        let c = contrast_cascade();
-        let (w, h) = (img.width(), img.height());
-        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Serial);
-        let integral = gpu.mem.upload(&device_integral(&img));
-        let depth = gpu.mem.alloc::<u32>(w * h);
-        let score = gpu.mem.alloc::<f32>(w * h);
-        let cp = gpu.const_upload(&encode_cascade(&c));
-        let _ = CascadeKernel::new(&c, integral, w, h, depth, score, cp).with_block_h(10);
     }
 
     #[test]

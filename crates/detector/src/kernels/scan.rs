@@ -33,22 +33,11 @@ pub struct ScanRowsKernel {
 
 impl ScanRowsKernel {
     pub const THREADS: u32 = 256;
-    /// Autotunable block widths, default first (all powers of two — the
-    /// block scan's sweep depth is `log2(threads)`). The sequential-scan
-    /// functional body is thread-count independent, so outputs are
-    /// byte-identical across the family.
-    pub const THREAD_OPTIONS: [u32; 3] = [256, 128, 512];
 
     pub fn config(&self) -> LaunchConfig {
         // grid.y indexes rows; one block per row.
         LaunchConfig::new((1u32, self.height as u32), (Self::THREADS, 1u32))
             .with_shared_mem(2 * Self::THREADS * 4)
-    }
-
-    /// Launch geometry for an alternate width from [`Self::THREAD_OPTIONS`].
-    pub fn config_for(&self, threads: u32) -> LaunchConfig {
-        LaunchConfig::new((1u32, self.height as u32), (threads, 1u32))
-            .with_shared_mem(2 * threads * 4)
     }
 }
 
@@ -63,11 +52,10 @@ impl Kernel for ScanRowsKernel {
             return;
         }
         let w = self.width;
-        // Block width comes from the launch config (the autotuner may
-        // re-tile); the sequential row scan below is identical for any
-        // width, only the work model changes. The shared allocation
-        // asserts the launch requested the scratch the real block scan
-        // needs at this width.
+        // Block width comes from the launch config; the sequential row
+        // scan below is identical for any width, only the work model
+        // changes. The shared allocation asserts the launch requested the
+        // scratch the real block scan needs at this width.
         let threads = ctx.block_dim.x;
         let _scratch = ctx.shared_alloc_u32(2 * threads as usize);
 
@@ -132,27 +120,6 @@ impl Kernel for ScanRowsKernel {
             // One block owns one row of the output.
             tile_local: true,
         })
-    }
-
-    fn shape_family(&self) -> Option<fd_gpu::ShapeFamily> {
-        let shapes = Self::THREAD_OPTIONS
-            .iter()
-            .map(|&t| {
-                let cfg = self.config_for(t);
-                let segments = (self.width as f64 / t as f64).ceil().max(1.0);
-                fd_gpu::ShapeCandidate {
-                    grid: cfg.grid,
-                    block: cfg.block,
-                    shared_mem_bytes: cfg.shared_mem_bytes,
-                    registers_per_thread: self.registers_per_thread(),
-                    // Sweep depth per segment: 2*log2(t) steps.
-                    issue_per_thread: segments * 2.0 * (t as f64).log2() / 32.0,
-                    // The whole row in and out, split across the block.
-                    mem_bytes_per_thread: 8.0 * self.width as f64 / t as f64,
-                }
-            })
-            .collect();
-        Some(fd_gpu::ShapeFamily { kernel: self.name(), shapes })
     }
 }
 

@@ -85,6 +85,10 @@ pub fn detect_multi_gpu(
                         }
                         let gpu = Gpu::new(spec.clone(), ExecMode::Concurrent);
                         let mut pipeline = FramePipeline::try_new(gpu, cascade, device_factor)?;
+                        // The related-work baseline runs the paper's
+                        // unfused chain, like the single-GPU figure it is
+                        // compared with.
+                        pipeline.set_fusion(false);
                         let (outputs, timeline) = pipeline.run_frame(&scaled)?;
                         let hits = outputs
                             .iter()

@@ -1,8 +1,11 @@
 //! Per-frame pipeline orchestration (paper Fig. 1).
 //!
-//! For every pyramid level the pipeline launches the level's seven
-//! kernels — scale, filter, scan, transpose, scan, transpose, cascade,
-//! display — into a *per-level stream*. In
+//! For every pyramid level the pipeline runs the paper's eight-kernel
+//! chain — scale, filter, scan, transpose, scan, transpose, cascade,
+//! display — on a *per-level stream*. By default the first six stages
+//! launch as two fused kernels, four launches per level
+//! ([`FramePipeline::set_fusion`]); unfused, every stage is its own
+//! launch, the paper's Fig. 1 baseline. In
 //! [`fd_gpu::ExecMode::Concurrent`] mode the device scheduler backfills
 //! idle SMs with blocks from other levels' streams (most effective for the
 //! small levels, whose grids cannot occupy the device on their own); in
@@ -24,8 +27,8 @@
 //! (asserted via [`fd_gpu::DeviceMemory::alloc_count`] in tests).
 
 use fd_gpu::{
-    BatchedKernel, ConstPtr, DevBuf, FusedChain, GeomClass, Gpu, Kernel, LaunchConfig,
-    LaunchError, ShapeCache, StreamId, TexId, Texture2D, Timeline,
+    BatchedKernel, ConstPtr, DevBuf, FusedChain, Gpu, LaunchError, StreamId, TexId, Texture2D,
+    Timeline,
 };
 use fd_haar::encode::{encode_cascade, quantize_cascade};
 use fd_haar::Cascade;
@@ -131,34 +134,10 @@ pub struct FramePipeline {
     scale_factor: f64,
     pool: Option<FramePool>,
     /// Fuse the smoothing/integral stages into combined launches (see
-    /// [`fd_gpu::fuse`]). Off by default; detections are bit-identical
-    /// either way, only launch count and the traffic ledger change.
+    /// [`fd_gpu::fuse`]). On by default; off is the paper's Fig. 1
+    /// eight-launch chain. Detections are bit-identical either way, only
+    /// launch count, timing and the traffic ledger change.
     fusion: bool,
-    /// Re-tile shape-polymorphic kernels per geometry class through the
-    /// occupancy model (see [`fd_gpu::tune`]). Off by default; detections
-    /// are byte-identical either way, only block shapes and timing change.
-    autotune: bool,
-    /// Tuned-shape memo, keyed by `(kernel, geometry class)` — shared by
-    /// every level, frame and batch this pipeline runs.
-    shapes: ShapeCache,
-}
-
-/// The launch geometry for `kernel`, re-tiled through the shape cache
-/// when autotuning is on and the kernel advertises a family; the declared
-/// default otherwise.
-fn tuned_cfg<K: Kernel>(
-    shapes: Option<&mut ShapeCache>,
-    kernel: &K,
-    class: GeomClass,
-    default_cfg: LaunchConfig,
-) -> LaunchConfig {
-    match (shapes, kernel.shape_family()) {
-        (Some(shapes), Some(family)) => {
-            let c = shapes.choose(class, &family);
-            LaunchConfig { grid: c.grid, block: c.block, shared_mem_bytes: c.shared_mem_bytes }
-        }
-        _ => default_cfg,
-    }
 }
 
 impl FramePipeline {
@@ -194,23 +173,13 @@ impl FramePipeline {
                 context: "staging the encoded cascade in constant memory",
                 source,
             })?;
-        let shapes = ShapeCache::new(gpu.spec.clone(), gpu.cost.clone());
-        Ok(Self {
-            gpu,
-            cascade: quantized,
-            const_ptr,
-            scale_factor,
-            pool: None,
-            fusion: fd_gpu::env_fusion_default(),
-            autotune: fd_gpu::env_autotune_default(),
-            shapes,
-        })
+        Ok(Self { gpu, cascade: quantized, const_ptr, scale_factor, pool: None, fusion: true })
     }
 
     /// Enable or disable kernel fusion for the scale/smoothing/integral
-    /// stages. With fusion on, scale+filter+scan+transpose and
-    /// scan+transpose launch as two fused kernels per level instead of
-    /// six, paying one launch overhead each and keeping the
+    /// stages. With fusion on (the default), scale+filter+scan+transpose
+    /// and scan+transpose launch as two fused kernels per level instead
+    /// of six, paying one launch overhead each and keeping the
     /// intermediates' traffic on-chip.
     pub fn set_fusion(&mut self, fusion: bool) {
         self.fusion = fusion;
@@ -219,31 +188,6 @@ impl FramePipeline {
     /// Whether the smoothing/integral stages launch fused.
     pub fn fusion(&self) -> bool {
         self.fusion
-    }
-
-    /// Enable or disable occupancy-driven launch-shape autotuning. With
-    /// autotuning on, every kernel that advertises a [`ShapeFamily`]
-    /// (cascade, scale, filter, scan) launches with the block shape the
-    /// scheduler's occupancy model scores best for its geometry class,
-    /// memoized in a per-pipeline [`ShapeCache`]. Detections are
-    /// byte-identical either way; only block shapes and timing change.
-    /// Fused chains keep their stacked default shapes (the chain contract
-    /// requires one thread count across stages), so the knob composes
-    /// with [`Self::set_fusion`].
-    ///
-    /// [`ShapeFamily`]: fd_gpu::ShapeFamily
-    pub fn set_autotune(&mut self, autotune: bool) {
-        self.autotune = autotune;
-    }
-
-    /// Whether launch shapes are autotuned.
-    pub fn autotune(&self) -> bool {
-        self.autotune
-    }
-
-    /// Tuned `(kernel, geometry)` classes resolved so far.
-    pub fn tuned_classes(&self) -> usize {
-        self.shapes.len()
     }
 
     /// The quantized cascade the device evaluates.
@@ -361,7 +305,6 @@ impl FramePipeline {
         h: usize,
         stream: StreamId,
         fusion: bool,
-        shapes: Option<&mut ShapeCache>,
     ) -> Result<(), (&'static str, LaunchError)> {
         let scales: Vec<_> = texs
             .iter()
@@ -420,25 +363,12 @@ impl FramePipeline {
                 height: w,
             })
             .collect();
-        let mut sc_cfg = scales[0].config();
-        let mut f_cfg = filters[0].config();
-        let mut s1_cfg = scan1s[0].config();
+        let sc_cfg = scales[0].config();
+        let f_cfg = filters[0].config();
+        let s1_cfg = scan1s[0].config();
         let t1_cfg = t1s[0].config();
-        let mut s2_cfg = scan2s[0].config();
+        let s2_cfg = scan2s[0].config();
         let t2_cfg = t2s[0].config();
-        // Fused chains keep their stacked default shapes: one thread
-        // count across all chained stages is part of the fusion contract,
-        // and per-stage re-tiling would break it. Unfused launches are
-        // free to take the tuned shape per stage (the transpose has no
-        // family — its diagonal tile is its identity).
-        if !fusion {
-            if let Some(shapes) = shapes {
-                sc_cfg = tuned_cfg(Some(shapes), &scales[0], GeomClass::of(w, h), sc_cfg);
-                f_cfg = tuned_cfg(Some(shapes), &filters[0], GeomClass::of(w, h), f_cfg);
-                s1_cfg = tuned_cfg(Some(shapes), &scan1s[0], GeomClass::of(w, h), s1_cfg);
-                s2_cfg = tuned_cfg(Some(shapes), &scan2s[0], GeomClass::of(h, w), s2_cfg);
-            }
-        }
 
         if fusion {
             // Stack each stage across request slots first (grid.z), then
@@ -511,8 +441,8 @@ impl FramePipeline {
     }
 
     /// Run the pipeline on a *batch* of same-geometry luma frames as one
-    /// device submission: at every pyramid level, each of the eight
-    /// kernels is launched once for the whole batch
+    /// device submission: at every pyramid level, each kernel or fused
+    /// chain is launched once for the whole batch
     /// ([`Gpu::launch_batched`], the batch stacked on `grid.z`), so B
     /// requests pay the launch overhead of one and their blocks
     /// co-schedule across SMs. This is the entry point the `fd-serve`
@@ -564,8 +494,6 @@ impl FramePipeline {
             Err(DetectorError::Launch { kernel, level: Some(level), frame: None, source })
         };
         let slots = &pool.slots[..frames.len()];
-        let autotune = self.autotune;
-        let shapes = &mut self.shapes;
         for (level, (&(w, h), &stream)) in plan.iter().zip(&pool.streams).enumerate() {
             if let Err((kernel, e)) = Self::launch_level_pyramid_stages(
                 gpu,
@@ -577,12 +505,11 @@ impl FramePipeline {
                 h,
                 stream,
                 self.fusion,
-                if autotune { Some(&mut *shapes) } else { None },
             ) {
                 return fail(gpu, kernel, level, e);
             }
 
-            let mut cascades: Vec<_> = slots
+            let cascades: Vec<_> = slots
                 .iter()
                 .map(|slot| {
                     CascadeKernel::new(
@@ -596,16 +523,6 @@ impl FramePipeline {
                     )
                 })
                 .collect();
-            // The cascade's shape lives on the kernel (its tile height),
-            // so re-tiling rebuilds the kernels, not just the config.
-            if autotune {
-                if let Some(family) = cascades[0].shape_family() {
-                    let bh = shapes.choose(GeomClass::of(w, h), &family).block.y;
-                    if bh != CascadeKernel::BLOCK {
-                        cascades = cascades.into_iter().map(|k| k.with_block_h(bh)).collect();
-                    }
-                }
-            }
             if let Err(e) = { let cfg = cascades[0].config(); gpu.launch_batched(cascades, cfg, stream) } {
                 return fail(gpu, "cascade_eval", level, e);
             }
@@ -947,9 +864,6 @@ mod tests {
             let gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
             let mut p = FramePipeline::new(gpu, &simple_cascade(), 1.25);
             p.set_fusion(fusion);
-            // Byte-for-byte ledger comparison needs both runs on the
-            // default shapes: re-tiling changes halo traffic.
-            p.set_autotune(false);
             let _ = p.run_frame(&frame).unwrap();
             let mut total = fd_gpu::KernelCounters::default();
             for prof in p.gpu.profiler().kernels().values() {
@@ -966,35 +880,6 @@ mod tests {
             f.fused_bytes(),
             "every avoided global byte is accounted as fused"
         );
-    }
-
-    #[test]
-    fn autotuned_frames_are_byte_identical_to_fixed_shapes() {
-        let frame = test_frame();
-        let run = |autotune: bool, fusion: bool| {
-            let gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
-            let mut p = FramePipeline::new(gpu, &simple_cascade(), 1.25);
-            p.set_autotune(autotune);
-            p.set_fusion(fusion);
-            let (outputs, _) = p.run_frame(&frame).unwrap();
-            (outputs, p.tuned_classes())
-        };
-        let (base, n_off) = run(false, false);
-        assert_eq!(n_off, 0, "autotune off must not touch the shape cache");
-        for fusion in [false, true] {
-            let (tuned, n_on) = run(true, fusion);
-            assert!(n_on > 0, "autotune must resolve at least one class");
-            for (a, b) in base.iter().zip(&tuned) {
-                assert_eq!(a.depth, b.depth, "level {}", a.level);
-                assert_eq!(
-                    a.score.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    b.score.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "level {}",
-                    a.level
-                );
-                assert_eq!(a.hits, b.hits, "level {}", a.level);
-            }
-        }
     }
 
     #[test]

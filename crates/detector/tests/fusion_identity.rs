@@ -42,7 +42,7 @@ fn trailer(seed: u64, n_frames: usize) -> Trailer {
 fn config(fusion: bool, threads: usize) -> DetectorConfig {
     DetectorConfig {
         min_neighbors: 1,
-        fusion: Some(fusion),
+        fusion,
         host_threads: Some(threads),
         ..DetectorConfig::default()
     }

@@ -51,28 +51,9 @@
 //! arena's read-while-write checker quiet). Results are bit-identical to
 //! the unfused pipeline at any host thread count.
 
-use std::sync::OnceLock;
-
 use crate::dim::Dim3;
 use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
 use crate::memory::AccessSet;
-
-/// Environment variable enabling fusion by default in consumers that
-/// expose a fusion knob (`1`/`true`/`on` to enable).
-pub const FUSION_ENV_VAR: &str = "FD_SIM_FUSION";
-
-/// Resolve the process-wide fusion default from [`FUSION_ENV_VAR`].
-/// Read once per process (`OnceLock`), like the other `FD_SIM_*` knobs.
-/// Unset or unrecognized values mean *off*: the unfused pipeline stays
-/// the baseline.
-pub fn env_fusion_default() -> bool {
-    static ENV_FUSION: OnceLock<bool> = OnceLock::new();
-    *ENV_FUSION.get_or_init(|| {
-        std::env::var(FUSION_ENV_VAR)
-            .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"))
-            .unwrap_or(false)
-    })
-}
 
 /// A kernel's producer/consumer shape, declared via
 /// [`Kernel::fusion_traits`]. Domains are logical `(width, height)`
@@ -672,12 +653,5 @@ mod tests {
             .validate()
             .unwrap_err();
         assert_eq!(err, FusionError::WriteAfterRead { buf: a.raw_id(), reader: 0, writer: 1 });
-    }
-
-    #[test]
-    fn env_default_is_off() {
-        // The env var is unset in the test harness; the knob must then
-        // leave fusion disabled so the unfused path stays the baseline.
-        assert!(!env_fusion_default() || std::env::var(FUSION_ENV_VAR).is_ok());
     }
 }

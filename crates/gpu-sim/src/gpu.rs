@@ -53,8 +53,10 @@ pub enum LaunchError {
     BatchedGridDepth { z: u32 },
     /// A fused chain failed legality validation (see [`crate::fuse`]).
     FusionRejected(crate::fuse::FusionError),
-    /// The launch would wait on an event this device never issued (for
-    /// example one recorded on another [`Gpu`]). The wait is discarded.
+    /// The launch would wait on an event that can never fire on this
+    /// device: one it never issued (for example one recorded on another
+    /// [`Gpu`]), or one recorded on a launch that [`Gpu::cancel_pending`]
+    /// discarded. The wait is discarded.
     UnknownEvent { event: EventId },
 }
 
@@ -108,7 +110,7 @@ impl std::fmt::Display for LaunchError {
             }
             LaunchError::FusionRejected(e) => write!(f, "fusion rejected: {e}"),
             LaunchError::UnknownEvent { event } => {
-                write!(f, "launch waits on event {} this device never issued", event.0)
+                write!(f, "launch waits on event {} that never fires on this device", event.0)
             }
         }
     }
@@ -155,6 +157,9 @@ pub struct Gpu {
     launch_counter: usize,
     pending_waits: HashMap<StreamId, Vec<EventId>>,
     fired_events: HashSet<EventId>,
+    /// Events recorded on launches that [`Gpu::cancel_pending`] discarded:
+    /// they never fire, so a later wait on one is a [`LaunchError::UnknownEvent`].
+    cancelled_events: HashSet<EventId>,
     /// Dependency graph over the pending queue.
     tracker: DepTracker,
     /// Persistent workers draining the queue; spawned lazily, reused for
@@ -210,6 +215,7 @@ impl Gpu {
             launch_counter: 0,
             pending_waits: HashMap::new(),
             fired_events: HashSet::new(),
+            cancelled_events: HashSet::new(),
             tracker: DepTracker::new(),
             pool: WorkerPool::new(),
             host_epoch: Instant::now(),
@@ -440,10 +446,13 @@ impl Gpu {
                 limit: self.spec.max_shared_mem_per_block,
             });
         }
-        // Event ids are per device; one this device never issued has no
-        // source launch, and the timing phase could not order behind it.
+        // Event ids are per device; one this device never issued, or one
+        // whose launch was cancelled, has no source launch, and the timing
+        // phase could not order behind it.
         if let Some(waits) = self.pending_waits.get_mut(&stream) {
-            if let Some(pos) = waits.iter().position(|e| e.0 >= self.next_event) {
+            let never_fires =
+                |e: &EventId| e.0 >= self.next_event || self.cancelled_events.contains(e);
+            if let Some(pos) = waits.iter().position(never_fires) {
                 return Err(LaunchError::UnknownEvent { event: waits.remove(pos) });
             }
         }
@@ -697,10 +706,13 @@ impl Gpu {
     /// leak into the next synchronization scope or the profiler).
     /// Functional memory effects of already-queued launches remain, as on
     /// a real device (deferred launches are flushed first to honor this);
-    /// callers that retry must fully overwrite outputs.
+    /// callers that retry must fully overwrite outputs. Events recorded on
+    /// the discarded launches never fire; waiting on one is a launch error.
     pub fn cancel_pending(&mut self) {
         self.flush_functional();
-        self.pending.clear();
+        for p in self.pending.drain(..) {
+            self.cancelled_events.extend(p.record.record_events);
+        }
         self.pending_waits.clear();
         self.tracker.reset();
     }
@@ -869,6 +881,48 @@ mod tests {
         a.stream_wait_event(s2, own);
         a.launch(k, LaunchConfig::linear(32, 32), s2).unwrap();
         assert_eq!(a.synchronize().events.len(), 2);
+    }
+
+    #[test]
+    fn waiting_on_a_cancelled_launchs_event_is_a_typed_launch_error() {
+        // An event recorded on a launch that cancel_pending discards never
+        // fires. A later wait on it must be rejected at launch, before any
+        // fault draw, rather than reach the timing phase with no source.
+        let mut gpu = Gpu::new(DeviceSpec::gtx470(), ExecMode::Concurrent);
+        gpu.set_fault_plan(Some(FaultPlan::seeded(3)));
+        let buf = gpu.mem.alloc::<u32>(32);
+        let (s1, s2) = (gpu.create_stream(), gpu.create_stream());
+        let k = DoubleKernel { buf };
+        gpu.launch(k, LaunchConfig::linear(32, 32), s1).unwrap();
+        let doomed = gpu.record_event(s1);
+        gpu.cancel_pending();
+
+        gpu.stream_wait_event(s2, doomed);
+        let attempts = gpu.fault_stats().launch_attempts;
+        assert_eq!(
+            gpu.launch(k, LaunchConfig::linear(32, 32), s2),
+            Err(LaunchError::UnknownEvent { event: doomed })
+        );
+        assert_eq!(gpu.fault_stats().launch_attempts, attempts, "no fault draw");
+        // Batched and fused launches run the same check.
+        gpu.stream_wait_event(s2, doomed);
+        assert_eq!(
+            gpu.launch_batched(vec![k], LaunchConfig::linear(32, 32), s2),
+            Err(LaunchError::UnknownEvent { event: doomed })
+        );
+        let (b, c) = (gpu.mem.alloc::<u32>(32), gpu.mem.alloc::<u32>(32));
+        let cfg = LaunchConfig::linear(32, 32);
+        let chain = crate::fuse::FusedChain::new("mul+add")
+            .then(AffineKernel { src: buf, dst: b, n: 32, k: 5, add: 0, name: "mul" }, cfg)
+            .then(AffineKernel { src: b, dst: c, n: 32, k: 1, add: 2, name: "add" }, cfg);
+        gpu.stream_wait_event(s2, doomed);
+        assert_eq!(
+            gpu.launch_fused(chain, s2),
+            Err(LaunchError::UnknownEvent { event: doomed })
+        );
+        // The bad wait is discarded and the scope synchronizes cleanly.
+        gpu.launch(k, LaunchConfig::linear(32, 32), s2).unwrap();
+        assert_eq!(gpu.synchronize().events.len(), 1);
     }
 
     #[test]

@@ -122,15 +122,6 @@ pub trait Kernel: Send + Sync {
     fn registers_per_thread(&self) -> u32 {
         16
     }
-
-    /// The functionally-equivalent launch shapes this kernel supports
-    /// for its current geometry (see [`crate::tune`]). `None` — the
-    /// default — marks the shape fixed: the autotuner leaves the kernel
-    /// alone. Kernels returning a family guarantee byte-identical
-    /// outputs across every candidate; only timing may differ.
-    fn shape_family(&self) -> Option<crate::tune::ShapeFamily> {
-        None
-    }
 }
 
 /// Execution context for one thread block: geometry, memory spaces and the

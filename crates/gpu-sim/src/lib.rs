@@ -101,7 +101,6 @@ pub mod pcie;
 pub mod profiler;
 pub mod sched;
 pub mod stream;
-pub mod tune;
 
 mod gpu;
 mod graph;
@@ -113,9 +112,7 @@ pub use device::DeviceSpec;
 pub use dim::Dim3;
 pub use exec::THREADS_ENV_VAR;
 pub use fault::{FaultCursor, FaultPlan, FaultStats};
-pub use fuse::{
-    env_fusion_default, FusedChain, FusedKernel, FusionError, FusionTraits, FUSION_ENV_VAR,
-};
+pub use fuse::{FusedChain, FusedKernel, FusionError, FusionTraits};
 pub use gpu::{Gpu, LaunchError, MAX_FUNCTIONAL_BLOCKS};
 pub use kernel::{BlockCtx, Kernel, LaunchConfig};
 pub use memory::{
@@ -129,7 +126,3 @@ pub use sched::{
     launch_occupancy, BlockCost, ExecMode, LaunchOccupancy, LaunchRecord, OccupancyLimit, Timeline,
 };
 pub use stream::{EventId, StreamId};
-pub use tune::{
-    env_autotune_default, score_shape, GeomClass, ShapeCache, ShapeCandidate, ShapeFamily,
-    AUTOTUNE_ENV_VAR,
-};

@@ -35,11 +35,10 @@
 //! byte-for-byte, even under faults.
 
 use fd_detector::{Backend, Detector, DetectorConfig, FaceDetector};
-use fd_gpu::GeomClass;
 use fd_haar::Cascade;
 use fd_imgproc::GrayImage;
 
-use crate::request::{DetectionRequest, Priority, RequestId};
+use crate::request::{DetectionRequest, GeomClass, Priority, RequestId};
 use crate::router::{LaneView, RoutePolicy, Router, RouterStats};
 use crate::server::{CompletedRequest, DetectionServer, RequestOutcome, ServeConfig, ServeError};
 use crate::stats::ServeStats;

@@ -84,7 +84,7 @@ pub use fleet::{DeviceState, FleetConfig, FleetServer, StealPolicy};
 pub use health::{FaultReaction, HealthMachine, HealthPolicy, ServerHealth};
 pub use queue::RequestQueue;
 pub use recovery::{RecoveryStep, RetryPolicy};
-pub use request::{DetectionRequest, Priority, RequestId};
+pub use request::{DetectionRequest, GeomClass, Priority, RequestId};
 pub use router::{LaneView, RoutePolicy, Router, RouterStats};
 pub use server::{
     CompletedRequest, DetectionServer, RequestOutcome, ServeConfig, ServeError,

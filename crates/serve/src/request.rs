@@ -1,7 +1,6 @@
 //! Request types: identifiers, priority classes and the queued record.
 
 use fd_detector::Backend;
-use fd_gpu::GeomClass;
 use fd_imgproc::GrayImage;
 
 /// Opaque handle identifying one submitted request. Assigned by the
@@ -13,6 +12,21 @@ pub struct RequestId(pub u64);
 impl std::fmt::Display for RequestId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "req-{}", self.0)
+    }
+}
+
+/// A frame geometry, the batching key: a batched submission stacks
+/// same-geometry frames on one grid, so batches only form across equal
+/// classes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct GeomClass {
+    pub width: u32,
+    pub height: u32,
+}
+
+impl GeomClass {
+    pub fn of(width: usize, height: usize) -> Self {
+        Self { width: width as u32, height: height as u32 }
     }
 }
 
@@ -79,9 +93,6 @@ pub struct DetectionRequest {
 
 impl DetectionRequest {
     /// Frame geometry class; batches only form across equal classes.
-    /// This is the simulator's tuning key ([`fd_gpu::GeomClass`]), so a
-    /// batch shares one autotuned launch shape per kernel by
-    /// construction.
     pub fn geometry(&self) -> GeomClass {
         GeomClass::of(self.frame.width(), self.frame.height())
     }

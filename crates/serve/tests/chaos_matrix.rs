@@ -51,6 +51,10 @@ fn server(plan: Option<FaultPlan>, batched: bool, retry: RetryPolicy) -> Detecti
         fault_plan: plan,
         ..DetectorConfig::default()
     };
+    server_with(det, batched, retry)
+}
+
+fn server_with(det: DetectorConfig, batched: bool, retry: RetryPolicy) -> DetectionServer {
     let cfg = ServeConfig {
         batch: BatchPolicy { enabled: batched, ..BatchPolicy::default() },
         retry,
@@ -248,11 +252,18 @@ fn poisoned_batch_fails_at_most_the_poisoned_member() {
     // Six simultaneous same-geometry requests form one batch of 6. Under
     // a timeout-only plan (non-retryable, slot-attributed), recovery
     // must corner each poisoned request: batchmates complete Ok or
-    // Degraded. Sweep seeds to cover different poisoned slots.
+    // Degraded. Sweep seeds to cover different poisoned slots. The rate
+    // is set for the unfused chain's eight launches per level.
     let mut saw_single_poison = false;
     for seed in 0..24u64 {
         let plan = FaultPlan::seeded(seed).with_launch_timeouts(0.002);
-        let mut s = server(Some(plan), true, RetryPolicy::default());
+        let det = DetectorConfig {
+            min_neighbors: 1,
+            fault_plan: Some(plan),
+            fusion: false,
+            ..DetectorConfig::default()
+        };
+        let mut s = server_with(det, true, RetryPolicy::default());
         for i in 0..6u64 {
             s.submit(pattern_frame(64, 48, (i % 4) as usize), Priority::Standard, 0.0, 1e9)
                 .expect("valid submission");
@@ -285,13 +296,14 @@ fn poisoned_batch_fails_at_most_the_poisoned_member() {
 #[test]
 fn sustained_timeouts_trip_brownout_then_open_then_recover() {
     // A per-launch timeout rate of 2% compounds over the ~32 launches of
-    // each dispatch to roughly a coin-flip per request: fault streaks
-    // walk the health machine Healthy → BrownOut → Open, and the
+    // each unfused dispatch to roughly a coin-flip per request: fault
+    // streaks walk the health machine Healthy → BrownOut → Open, and the
     // cool-down's half-open probe finds a clean request to close it.
     let plan = FaultPlan::seeded(0).with_launch_timeouts(0.02);
     let det = DetectorConfig {
         min_neighbors: 1,
         fault_plan: Some(plan),
+        fusion: false,
         ..DetectorConfig::default()
     };
     let cfg = ServeConfig {
@@ -402,15 +414,16 @@ fn assert_fleet_accounting<D: Detector>(f: &FleetServer<D>, submitted: u64) {
 
 #[test]
 fn open_breaker_migrates_the_backlog_to_the_healthy_replica() {
-    // Device 0 gets a pathological timeout plan (~80% of its dispatches
-    // fault), device 1 an inert plan with an independent seed. Sixteen
-    // simultaneous requests fill the queues; device 0's fault streak
-    // walks its health machine to Open, at which point its queued
-    // backlog must migrate to device 1 and complete there.
+    // Device 0 gets a pathological timeout plan (~80% of its unfused
+    // dispatches fault), device 1 an inert plan with an independent
+    // seed. Sixteen simultaneous requests fill the queues; device 0's
+    // fault streak walks its health machine to Open, at which point its
+    // queued backlog must migrate to device 1 and complete there.
     let run = || {
         let det = |plan: FaultPlan| DetectorConfig {
             min_neighbors: 1,
             fault_plan: Some(plan),
+            fusion: false,
             ..DetectorConfig::default()
         };
         let detectors = vec![

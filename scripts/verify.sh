@@ -18,21 +18,14 @@ for t in 1 4; do
   FD_SIM_THREADS=$t cargo test -q --offline -p fd-gpu -p fd-detector
 done
 
-echo "== kernel fusion (asserts >= 1.2x end-to-end speedup, >= 1.15x batched, bit-identical detections) =="
+echo "== kernel fusion (asserts >= 1.2x end-to-end speedup, >= 1.15x batched, bit-identical detections, live limiting-factor counters) =="
 # The bench's identity check compares 1 and 4 host threads via
 # DetectorConfig (the FD_SIM_THREADS matrix above additionally runs the
-# fusion_identity proptests under both env settings). Scratch results
-# dir: the committed results/BENCH_fusion.json stays the reference run.
+# fusion_identity proptests at both thread counts), and it fails on
+# degenerate occupancy accounting. Scratch results dir: the committed
+# results/BENCH_fusion.json stays the reference run.
 FD_RESULTS_DIR="$(mktemp -d)" \
   cargo run --release --offline -q -p fd-bench --bin fusion -- --assert-min-speedup-pct 120 --assert-min-batched-pct 115
-
-echo "== occupancy autotune (asserts >= 1.1x autotuned batched speedup, byte-identical detections, live limiting-factor counters) =="
-# Scratch results dir: the committed results/BENCH_occupancy.json stays
-# the reference run. The bench itself asserts the detection byte-identity
-# across {autotune} x {fusion} x host thread counts and fails on
-# degenerate occupancy accounting.
-FD_RESULTS_DIR="$(mktemp -d)" \
-  cargo run --release --offline -q -p fd-bench --bin occupancy -- --assert-min-batched-pct 110
 
 echo "== fault matrix (every fault kind x pipeline stage) =="
 cargo test -q --offline -p fd-detector --test fault_matrix

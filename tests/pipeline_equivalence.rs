@@ -113,14 +113,22 @@ fn serial_and_concurrent_modes_are_bit_identical_functionally() {
 fn timeline_accounts_all_pipeline_kernels() {
     let cascade = test_cascade();
     let frame = busy_frame();
-    let mut det = FaceDetector::new(&cascade, DetectorConfig::default());
-    let r = det.detect(&frame).expect("detect");
-    let names: std::collections::BTreeSet<&str> =
-        r.timeline.events.iter().map(|e| e.kernel_name).collect();
-    for expected in ["scale", "filter", "scan_rows", "transpose", "cascade_eval", "display"] {
-        assert!(names.contains(expected), "missing kernel {expected}");
-    }
-    // 8 launches per pyramid level.
     let levels = facedet::imgproc::Pyramid::plan(160, 120, 1.25, 24).len();
-    assert_eq!(r.timeline.events.len(), 8 * levels);
+    // Unfused, the paper's chain: 8 launches per pyramid level. Fused
+    // (the default): the two chains, cascade and display, 4 per level.
+    let cases: [(bool, &[&str], usize); 2] = [
+        (false, &["scale", "filter", "scan_rows", "transpose", "cascade_eval", "display"], 8),
+        (true, &["scale+filter+scan+transpose", "scan+transpose", "cascade_eval", "display"], 4),
+    ];
+    for (fusion, kernels, per_level) in cases {
+        let mut det =
+            FaceDetector::new(&cascade, DetectorConfig { fusion, ..DetectorConfig::default() });
+        let r = det.detect(&frame).expect("detect");
+        let names: std::collections::BTreeSet<&str> =
+            r.timeline.events.iter().map(|e| e.kernel_name).collect();
+        for expected in kernels {
+            assert!(names.contains(expected), "fusion={fusion}: missing kernel {expected}");
+        }
+        assert_eq!(r.timeline.events.len(), per_level * levels, "fusion={fusion}");
+    }
 }
